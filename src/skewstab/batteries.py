@@ -1,7 +1,7 @@
 """Seeded generators of test measures.
 
 Every generator is a pure function of its seed, so batteries are
-reproducible across runs and across thread counts.  Disintegrations are
+reproducible across runs.  Disintegrations are
 built from a small pool of distinct fibers laid out in runs: norm
 evaluation cost then scales with the pool size, not the cell count.
 """
@@ -75,10 +75,9 @@ def _run_disintegration(rng: np.random.Generator, n_cells: int, *,
                         dimension: int = 1) -> Disintegration:
     pool = [_random_fiber(rng, max_atoms, dimension, positive)
             for _ in range(n_distinct)]
-    # shared objects per run keep the distinct-fiber count small
     scaled = [f.scale(1.0 / n_cells) for f in pool]
     ids = _run_ids(rng, n_cells, n_distinct)
-    return Disintegration([scaled[i] for i in ids], n_cells=n_cells)
+    return Disintegration.from_ids(ids, scaled)
 
 
 def positive_disintegrations(seed: int, count: int, n_cells: int,

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,13 +42,6 @@ from .stability import (
     stability_bound,
     stability_sweep,
 )
-
-
-def _thread_count() -> int:
-    env = os.environ.get("SKEWSTAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _parse_phi(spec: str):
@@ -147,29 +138,15 @@ def _cmd_decay(args) -> int:
 
 
 def _fill_invariants(job):
-    """Precompute missing perturbed invariants concurrently; ordered
-    collection keeps results independent of the thread count."""
+    """Precompute missing perturbed invariants, in family order."""
     opts = job.pipeline or {}
-    todo = [ps for ps in job.family
-            if ps.invariant_distance is None and ps.perturbed_invariant is None]
-    if not todo:
-        return job.family
-    workers = min(_thread_count(), len(todo))
-
-    def run(ps):
-        return invariant_measure(ps.perturbed, **opts)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, todo))
-    table = {id(ps): res for ps, res in zip(todo, results)}
     filled = []
     for ps in job.family:
-        res = table.get(id(ps))
-        if res is None:
-            filled.append(ps)
-        else:
-            filled.append(replace(ps, perturbed_invariant=res.measure)
-                          if res.converged else ps)
+        if ps.invariant_distance is None and ps.perturbed_invariant is None:
+            res = invariant_measure(ps.perturbed, **opts)
+            if res.converged:
+                ps = replace(ps, perturbed_invariant=res.measure)
+        filled.append(ps)
     return filled
 
 

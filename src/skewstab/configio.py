@@ -9,6 +9,7 @@ strings parse as decimals or "p/q" fractions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -62,11 +63,22 @@ def _require(doc: dict, required: set, optional: set, where: str) -> None:
 
 
 def _parse_scalar(v):
-    """JSON number -> float backend; string -> exact Fraction."""
+    """JSON number -> float backend; string -> exact Fraction.  json.load
+    accepts NaN and Infinity, which no scalar here may take."""
     if isinstance(v, str):
         return Fraction(v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected number or numeric string, got {v!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return v
+
+
+def _positive_int(doc: dict, key: str, where: str) -> int:
+    v = doc[key]
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ValueError(f"{where}: {key} must be a positive integer, "
+                         f"got {v!r}")
     return v
 
 
@@ -262,12 +274,17 @@ def load_measure(doc: dict) -> Disintegration:
                  "measure")
         if doc["builtin"] != "lebesgue":
             raise ValueError(f"unknown builtin measure {doc['builtin']!r}")
-        return lebesgue_disintegration(int(doc["n_cells"]),
-                                       int(doc["fiber_atoms"]),
-                                       exact=bool(doc.get("exact", False)))
+        return lebesgue_disintegration(
+            _positive_int(doc, "n_cells", "measure"),
+            _positive_int(doc, "fiber_atoms", "measure"),
+            exact=bool(doc.get("exact", False)))
     _require(doc, {"n_cells", "dimension", "fibers"}, set(), "measure")
-    n, d = int(doc["n_cells"]), int(doc["dimension"])
+    n = _positive_int(doc, "n_cells", "measure")
+    d = _positive_int(doc, "dimension", "measure")
     rows = doc["fibers"]
+    if not isinstance(rows, list) or \
+            not all(isinstance(atoms, list) for atoms in rows):
+        raise ValueError("measure: fibers must be a list of atom lists")
     if len(rows) != n:
         raise ValueError(f"measure: got {len(rows)} fibers for "
                          f"n_cells = {n}")
@@ -291,12 +308,12 @@ def load_measure(doc: dict) -> Disintegration:
 
 
 def save_measure(dis: Disintegration) -> dict:
-    rows = []
-    for fm in dis.fibers:
-        rows.append([[[_format_scalar(c) for c in p], _format_scalar(w)]
-                     for p, w in fm.atoms()])
+    """The explicit per-cell format; each distinct fiber is formatted once
+    and its row shared by the cells that carry it."""
+    distinct = [[[[_format_scalar(c) for c in p], _format_scalar(w)]
+                 for p, w in fm.atoms()] for fm in dis.table]
     return {"n_cells": dis.n_cells, "dimension": dis.dimension,
-            "fibers": rows}
+            "fibers": [distinct[i] for i in dis.ids.tolist()]}
 
 
 # ---------------------------------------------------------------- families

@@ -289,12 +289,6 @@ class FiberMap:
                 out = out.apply_map(self.bump)
         return out
 
-    def point(self, y: float) -> float:
-        y = (y + float(self.shift)) % 1.0
-        if self.bump is not None:
-            y = float(self.bump(np.array([y]))[0])
-        return y
-
 
 @dataclass(frozen=True)
 class FiberMapFamily:
@@ -451,34 +445,40 @@ def transfer_step(sys: SkewSystem, dis: Disintegration,
     sys.base.check_grid(n)
     if eps_f is None:
         eps_f = _default_eps(n)
-    ids, distinct = dis.fiber_ids()
+    ids, table = dis.ids, dis.table
     member = _membership(sys.fiber, n)
+    if sys.base.sigma is None:
+        # output cell k takes the fraction 1/l of each source cell
+        # (k + j n) // l, so cells whose sources carry equal fibers and
+        # flags share one combination
+        l = sys.base.branch_count
+        src = (np.arange(n)[:, None] + n * np.arange(l)) // l
+        _, first, out_ids = np.unique((ids * 2 + np.array(member))[src],
+                                      axis=0, return_index=True,
+                                      return_inverse=True)
+    else:
+        # fractions differ from cell to cell: one combination per cell
+        first = out_ids = np.arange(n)
 
     mapped: dict[tuple[int, bool], FiberMeasure] = {}
 
     def push(fid: int, flag: bool) -> FiberMeasure:
         key = (fid, flag)
         if key not in mapped:
-            mapped[key] = sys.fiber.map_for(flag).apply(distinct[fid])
+            mapped[key] = sys.fiber.map_for(flag).apply(table[fid])
         return mapped[key]
 
-    combos: dict[tuple, FiberMeasure] = {}
-    out = []
-    for k in range(n):
-        sources = sys.base.source_cells(n, k)
-        key = tuple((int(ids[c]), member[c], w) for c, w in sources)
-        fib = combos.get(key)
-        if fib is None:
-            parts = [push(int(ids[c]), member[c]).scale(w)
-                     for c, w in sources]
-            fib = parts[0]
-            for extra in parts[1:]:
-                fib = fib + extra
-            if eps_f:
-                fib = coarsen(fib, eps_f)
-            combos[key] = fib
-        out.append(fib)
-    return Disintegration(out, n_cells=n)
+    combos = []
+    for k in first.tolist():
+        parts = [push(int(ids[c]), member[c]).scale(w)
+                 for c, w in sys.base.source_cells(n, k)]
+        fib = parts[0]
+        for extra in parts[1:]:
+            fib = fib + extra
+        if eps_f:
+            fib = coarsen(fib, eps_f)
+        combos.append(fib)
+    return Disintegration.from_ids(out_ids, combos)
 
 
 def iterate(sys: SkewSystem, dis: Disintegration, n: int,
@@ -555,7 +555,7 @@ def ly_check(sys: SkewSystem, dis: Disintegration, p: float,
     """Evaluates both sides of the fiberwise variation inequality
     var_p(L mu) <= lambda^p alpha var_p(mu) + (H_hat + 3 q alpha C_h
     A^(xi-p)) sup|mu_x| for a positive measure."""
-    if any(w < 0 for f in dis.fibers for _, w in f.atoms()):
+    if any(w < 0 for f in dis.table for _, w in f.atoms()):
         raise ValueError("ly_check requires a positive measure")
     sys.require_domination()
     if A is None:

@@ -1,13 +1,21 @@
 """Signed measures on [0,1] x T^d disintegrated along a uniform base grid.
 
-A FiberMeasure is a finite signed atomic measure on the d-torus; a
-Disintegration stores one fiber restriction per base cell [i/N,(i+1)/N).
+A FiberMeasure is a finite signed atomic measure on the d-torus.  A
+Disintegration packs the fiber restrictions to the base cells
+[i/N,(i+1)/N) as an id per cell plus a table of content-distinct fibers
+numbered by first appearance; algebra, coarsening and the norms work on
+the table and the id array, so their cost scales with the number of
+distinct fibers rather than N.
+
 The W1 norm here is the dual Lipschitz norm with the extra sup bound
 (|g| <= 1, Lip(g) <= 1), evaluated by linear programming with exact
 rational arithmetic on small programs, plus two closed-form fast paths:
 single-signed measures (norm = |total mass|) and balanced measures on the
 circle (cdf median formula; the cap constraint never binds there because
 transporting over distance <= 1/2 always beats creating mass at cost 1).
+
+var_p reads window oscillations off one interval-max table over the runs
+of equal ids.
 """
 
 from __future__ import annotations
@@ -96,13 +104,10 @@ class FiberMeasure:
         if dimension is None:
             dimension = len(pos_list[0]) if pos_list else 1
         if exact is None:
-            exact = any(
-                any(_is_exact_scalar(c) for c in p) for p in pos_list
-            ) or any(_is_exact_scalar(w) for w in w_list)
-            if pos_list and not all(
-                all(_is_exact_scalar(c) for c in p) for p in pos_list
-            ):
-                exact = exact and False
+            # exact iff there are atoms and every position coordinate is
+            # exact; float weights are then converted exactly
+            exact = bool(pos_list) and all(
+                _is_exact_scalar(c) for p in pos_list for c in p)
         self.dimension = int(dimension)
         self.exact = bool(exact)
         if self.exact:
@@ -231,10 +236,6 @@ class FiberMeasure:
         new = fn(a.positions[:, 0]) if self.dimension == 1 else fn(a.positions)
         new = np.asarray(new, dtype=float).reshape(len(a), -1)
         return FiberMeasure(new, a.weights, dimension=self.dimension, exact=False)
-
-
-def _empty_like(dimension: int, exact: bool) -> FiberMeasure:
-    return FiberMeasure([], [], dimension=dimension, exact=exact)
 
 
 # --------------------------------------------------------------------------
@@ -420,89 +421,88 @@ def w1_norm(fm: FiberMeasure, *, method: str = "auto"):
 
 
 class Disintegration:
-    """Grid disintegration: fibers[i] is the restriction to cell i x T^d,
-    so fibers[i].mass() is the measure of that slab and the marginal
-    density reads N * mass on each cell."""
+    """Grid disintegration packed as an id per cell plus a table of
+    distinct fibers: table[ids[i]] is the restriction to cell i x T^d, so
+    its mass() is the measure of that slab and the marginal density reads
+    N * mass on each cell.
 
-    __slots__ = ("n_cells", "dimension", "fibers", "_uniform")
+    The table holds no two content-equal fibers and is numbered in order
+    of first appearance by cell, so equal ids mean equal fibers and runs
+    of equal ids are runs of equal fibers.  Operations map over the table
+    and pair id arrays instead of looping over cells.
+    """
 
-    def __init__(self, fibers: Sequence[FiberMeasure], n_cells: int | None = None,
-                 uniform: bool | None = None):
+    __slots__ = ("n_cells", "dimension", "ids", "table")
+
+    def __init__(self, fibers: Sequence[FiberMeasure], n_cells: int | None = None):
         fibers = list(fibers)
         if n_cells is None:
             n_cells = len(fibers)
         if len(fibers) != n_cells:
             raise ValueError("fiber count must equal n_cells")
-        if not fibers:
+        self._pack(np.arange(n_cells, dtype=np.int64), fibers)
+
+    @classmethod
+    def from_ids(cls, ids, table: Sequence[FiberMeasure]) -> "Disintegration":
+        """Disintegration with fiber table[ids[i]] on cell i; the table is
+        canonicalized (unreferenced entries dropped, equal ones merged)."""
+        out = cls.__new__(cls)
+        out._pack(np.array(ids, dtype=np.int64).reshape(-1), table)
+        return out
+
+    def _pack(self, ids: np.ndarray, table: Sequence[FiberMeasure]) -> None:
+        if len(ids) == 0 or not table:
             raise ValueError("empty disintegration")
-        self.n_cells = int(n_cells)
-        self.dimension = fibers[0].dimension
-        for f in fibers:
-            if f.dimension != self.dimension:
-                raise ValueError("fiber dimension mismatch")
-        self.fibers = fibers
-        self._uniform = uniform
+        if ids.min() < 0 or ids.max() >= len(table):
+            raise ValueError("fiber id out of range")
+        self.dimension = table[0].dimension
+        if any(f.dimension != self.dimension for f in table):
+            raise ValueError("fiber dimension mismatch")
+        self.n_cells = len(ids)
+        self.ids, self.table = _canonical(ids, table)
+        self.ids.flags.writeable = False
+
+    @property
+    def fibers(self) -> tuple[FiberMeasure, ...]:
+        """Per-cell view: fibers[i] = table[ids[i]]."""
+        return tuple(self.table[i] for i in self.ids.tolist())
 
     @property
     def exact(self) -> bool:
-        return all(f.exact for f in self.fibers)
+        return all(f.exact for f in self.table)
 
     def is_uniform(self) -> bool:
         """True when every fiber has identical content (x-constant measure)."""
-        if self._uniform is None:
-            k0 = self.fibers[0].content_key()
-            self._uniform = all(f.content_key() == k0 for f in self.fibers[1:])
-        return self._uniform
+        return len(self.table) == 1
+
+    def _cell_sum(self, per_fiber):
+        # exactly rounded sum over cells, as if summed cell by cell
+        if self.exact:
+            counts = np.bincount(self.ids, minlength=len(self.table))
+            return sum((v * int(c) for v, c in zip(per_fiber, counts)),
+                       Fraction(0))
+        vals = np.array([float(v) for v in per_fiber])
+        return float(math.fsum(vals[self.ids]))
 
     def mass(self):
-        if self.exact:
-            return sum((f.mass() for f in self.fibers), Fraction(0))
-        return float(math.fsum(float(f.mass()) for f in self.fibers))
+        return self._cell_sum([f.mass() for f in self.table])
 
     def total_weight_abs(self):
-        if self.exact:
-            return sum((f.abs_mass() for f in self.fibers), Fraction(0))
-        return float(math.fsum(float(f.abs_mass()) for f in self.fibers))
+        return self._cell_sum([f.abs_mass() for f in self.table])
 
-    def fiber_ids(self) -> tuple[np.ndarray, list[FiberMeasure]]:
-        """Deduplicate fibers by content; returns (id per cell, distinct)."""
-        table: dict = {}
-        distinct: list[FiberMeasure] = []
-        ids = np.empty(self.n_cells, dtype=np.int64)
-        for i, f in enumerate(self.fibers):
-            k = f.content_key()
-            j = table.get(k)
-            if j is None:
-                j = len(distinct)
-                table[k] = j
-                distinct.append(f)
-            ids[i] = j
-        return ids, distinct
+    def fiber_ids(self) -> tuple[np.ndarray, tuple[FiberMeasure, ...]]:
+        """(id per cell, distinct fibers), numbered by first appearance."""
+        return self.ids, self.table
 
     def scale(self, s) -> "Disintegration":
-        # repeated fiber objects map to one shared result
-        cache: dict[int, FiberMeasure] = {}
-        out = []
-        for f in self.fibers:
-            g = cache.get(id(f))
-            if g is None:
-                g = f.scale(s)
-                cache[id(f)] = g
-            out.append(g)
-        return Disintegration(out, self.n_cells, uniform=self._uniform)
+        return Disintegration.from_ids(self.ids, [f.scale(s) for f in self.table])
 
     def _zip_op(self, other: "Disintegration", op) -> "Disintegration":
         self._check_compatible(other)
-        cache: dict[tuple[int, int], FiberMeasure] = {}
-        out = []
-        for a, b in zip(self.fibers, other.fibers):
-            key = (id(a), id(b))
-            g = cache.get(key)
-            if g is None:
-                g = op(a, b)
-                cache[key] = g
-            out.append(g)
-        return Disintegration(out, self.n_cells)
+        pairs, inv = np.unique(np.stack([self.ids, other.ids], axis=1),
+                               axis=0, return_inverse=True)
+        return Disintegration.from_ids(
+            inv, [op(self.table[a], other.table[b]) for a, b in pairs.tolist()])
 
     def __add__(self, other: "Disintegration") -> "Disintegration":
         return self._zip_op(other, lambda a, b: a + b)
@@ -515,8 +515,27 @@ class Disintegration:
             raise ValueError("incompatible disintegrations")
 
     def to_float(self) -> "Disintegration":
-        return Disintegration([f.to_float() for f in self.fibers], self.n_cells,
-                              uniform=self._uniform)
+        return Disintegration.from_ids(self.ids, [f.to_float() for f in self.table])
+
+
+def _canonical(ids: np.ndarray, table: Sequence[FiberMeasure]
+               ) -> tuple[np.ndarray, tuple[FiberMeasure, ...]]:
+    """Drop unreferenced table entries, merge content-equal ones and
+    renumber by first appearance; hashes each referenced entry once, and
+    nothing when the table has a single entry."""
+    if len(table) == 1:
+        return ids, (table[0],)
+    used, first, inv = np.unique(ids, return_index=True, return_inverse=True)
+    slot: dict = {}
+    out: list[FiberMeasure] = []
+    remap = np.empty(len(used), dtype=np.int64)
+    for u in np.argsort(first).tolist():
+        f = table[used[u]]
+        j = slot.setdefault(f.content_key(), len(out))
+        if j == len(out):
+            out.append(f)
+        remap[u] = j
+    return remap[inv.reshape(-1)], tuple(out)
 
 
 # -- constructors -----------------------------------------------------------
@@ -555,7 +574,7 @@ def lebesgue_disintegration(n_cells: int, fiber_atoms: int,
         f = uniform_fiber(fiber_atoms, exact=True, weight_total=Fraction(1, n_cells))
     else:
         f = uniform_fiber(fiber_atoms, exact=False, weight_total=1.0 / n_cells)
-    return Disintegration([f] * n_cells, n_cells, uniform=True)
+    return Disintegration.from_ids(np.zeros(n_cells), [f])
 
 
 def product_disintegration(n_cells: int, fiber: FiberMeasure) -> Disintegration:
@@ -564,7 +583,7 @@ def product_disintegration(n_cells: int, fiber: FiberMeasure) -> Disintegration:
         f = fiber.scale(Fraction(1, n_cells))
     else:
         f = fiber.scale(1.0 / n_cells)
-    return Disintegration([f] * n_cells, n_cells, uniform=True)
+    return Disintegration.from_ids(np.zeros(n_cells), [f])
 
 
 # --------------------------------------------------------------------------
@@ -576,52 +595,39 @@ def l1_norm(dis: Disintegration):
     """Sum of fiberwise W1 norms: the grid reading of the disintegrated
     L1 norm (the per-length fiber is N * fibers[i] on a cell of length 1/N,
     so the factors cancel)."""
-    ids, distinct = dis.fiber_ids()
-    vals = [w1_norm(f) for f in distinct]
-    counts = np.bincount(ids, minlength=len(distinct))
+    vals = [w1_norm(f) for f in dis.table]
+    counts = np.bincount(dis.ids, minlength=len(dis.table))
     if all(isinstance(v, Fraction) for v in vals):
         return sum((v * int(c) for v, c in zip(vals, counts)), Fraction(0))
     return float(math.fsum(float(v) * int(c) for v, c in zip(vals, counts)))
 
 
-class _PairDistances:
-    """Lazy matrix of W1 distances between distinct per-length fibers."""
+def _interval_max(ids: np.ndarray, table, n: int, span: int):
+    """Interval-max table over the runs of equal ids.
 
-    def __init__(self, dis: Disintegration):
-        self.n = dis.n_cells
-        self.distinct = [f for f in dis.fiber_ids()[1]]
-        self._cache: dict[tuple[int, int], float] = {}
-
-    def get(self, a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        key = (a, b) if a < b else (b, a)
-        v = self._cache.get(key)
-        if v is None:
-            diff = self.distinct[key[0]] - self.distinct[key[1]]
-            v = float(w1_norm(diff)) * self.n
-            self._cache[key] = v
-        return v
-
-    def set_max(self, idset: frozenset) -> float:
-        ids = sorted(idset)
-        best = 0.0
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                d = self.get(ids[i], ids[j])
-                if d > best:
-                    best = d
-        return best
-
-
-def _runs(ids: np.ndarray) -> list[tuple[int, int, int]]:
-    runs = []
-    start = 0
-    for i in range(1, len(ids) + 1):
-        if i == len(ids) or ids[i] != ids[start]:
-            runs.append((start, i - 1, int(ids[start])))
-            start = i
-    return runs
+    Returns (M, run), run[i] being the run of cell i and M[a, b] the
+    largest per-length W1 distance between the fibers of runs a..b,
+    filled by M[a, b] = max(M[a+1, b], M[a, b-1], d(a, b)).  Distances
+    are evaluated once per fiber pair, and only for pairs of runs at most
+    `span` cells apart; M is exact for every interval no wider than that.
+    """
+    change = ids[1:] != ids[:-1]
+    run = np.concatenate(([0], np.cumsum(change)))
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    ends = np.append(starts[1:] - 1, len(ids) - 1)
+    rfid = ids[starts]
+    a, b = np.nonzero(np.triu(starts[None, :] - ends[:, None] <= span, 1))
+    lo, hi = np.minimum(rfid[a], rfid[b]), np.maximum(rfid[a], rfid[b])
+    fid_pairs = np.unique(np.stack([lo, hi], axis=1)[lo != hi], axis=0)
+    dist = np.zeros((len(table), len(table)))
+    for u, v in fid_pairs.tolist():
+        dist[u, v] = dist[v, u] = float(w1_norm(table[u] - table[v])) * n
+    m = dist[rfid[:, None], rfid[None, :]]
+    for k in range(1, len(rfid)):
+        i = np.arange(len(rfid) - k)
+        m[i, i + k] = np.maximum(m[i, i + k],
+                                 np.maximum(m[i + 1, i + k], m[i, i + k - 1]))
+    return m, run
 
 
 def _radius_cells(dis: Disintegration, r) -> int:
@@ -640,51 +646,40 @@ def oscillation(dis: Disintegration, i: int, r) -> float:
     if not 0 <= i < dis.n_cells:
         raise ValueError("cell index out of range")
     j = _radius_cells(dis, r)
-    ids, _ = dis.fiber_ids()
-    pd = _PairDistances(dis)
     lo = max(0, i - j)
     hi = min(dis.n_cells - 1, i + j)
-    present = frozenset(int(v) for v in np.unique(ids[lo:hi + 1]))
-    return pd.set_max(present)
+    m, _ = _interval_max(dis.ids[lo:hi + 1], dis.table, dis.n_cells, hi - lo)
+    return float(m[0, -1])
 
 
 def var_p(dis: Disintegration, p: float = 1.0, A: float = 0.5) -> float:
     """sup over grid radii r = j/N <= ~A of (1/N) sum_i r^-p osc(i, r).
 
-    Cost scales with the number of distinct fibers (windows are resolved
-    run-by-run with memoized pairwise distances), so measures with few
-    distinct fibers evaluate quickly at any N.
+    The window of cell i covers a contiguous range of runs of equal ids,
+    so osc(i, r) is one lookup in the interval-max table of those runs;
+    W1 is evaluated once per pair of distinct fibers that share a window,
+    and cost scales with the number of distinct fibers and runs, not N.
     """
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
     if not 0 < A <= 0.5:
         raise ValueError("A must lie in (0, 1/2]")
     n = dis.n_cells
-    ids, distinct = dis.fiber_ids()
-    if len(distinct) == 1:
+    if len(dis.table) == 1:
         return 0.0
-    pd = _PairDistances(dis)
-    runs = _runs(ids)
-    starts = np.array([r[0] for r in runs])
-    ends = np.array([r[1] for r in runs])
-    rfid = np.array([r[2] for r in runs])
     jmax = max(1, math.ceil(A * n - 1e-12))
-    osc_memo: dict[frozenset, float] = {}
+    m, run = _interval_max(dis.ids, dis.table, n, 2 * jmax)
+    cells = np.arange(n)
     best = 0.0
     for j in range(1, jmax + 1):
-        enter = starts - j
-        exit_ = ends + j
-        bounds = np.unique(np.clip(np.concatenate([enter, exit_ + 1, [0, n]]), 0, n))
-        total = 0.0
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b <= a:
-                continue
-            present = frozenset(rfid[(enter <= a) & (a <= exit_)].tolist())
-            osc = osc_memo.get(present)
-            if osc is None:
-                osc = pd.set_max(present)
-                osc_memo[present] = osc
-            total += osc * (b - a)
+        lo = run[np.maximum(cells - j, 0)]
+        hi = run[np.minimum(cells + j, n - 1)]
+        # windows covering the same runs form segments; summing osc * length
+        # segment by segment, left to right, fixes the rounding
+        seg = np.flatnonzero(np.concatenate(
+            ([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))))
+        length = np.diff(np.append(seg, n))
+        total = float(np.cumsum(m[lo[seg], hi[seg]] * length)[-1])
         r = j / n
         val = (total / n) * r ** (-p)
         if val > best:
@@ -721,7 +716,7 @@ class MarginalDensity:
 
 
 def marginal_density(dis: Disintegration) -> MarginalDensity:
-    vals = np.array([float(f.mass()) for f in dis.fibers]) * dis.n_cells
+    vals = np.array([float(f.mass()) for f in dis.table])[dis.ids] * dis.n_cells
     sup = float(np.max(np.abs(vals))) if len(vals) else 0.0
     bv = float(np.sum(np.abs(np.diff(vals))))
     return MarginalDensity(values=vals, sup_norm=sup, bv_jump_sum=bv)
@@ -767,10 +762,7 @@ def coarsen(fm: FiberMeasure, eps) -> FiberMeasure:
 def coarsen_disintegration(dis: Disintegration, eps) -> Disintegration:
     if eps == 0:
         return dis
-    ids, distinct = dis.fiber_ids()
-    snapped = [coarsen(f, eps) for f in distinct]
-    return Disintegration([snapped[i] for i in ids], dis.n_cells,
-                          uniform=dis._uniform)
+    return Disintegration.from_ids(dis.ids, [coarsen(f, eps) for f in dis.table])
 
 
 def piecewise_constant_approx(dis: Disintegration, eps) -> Disintegration:
@@ -783,15 +775,11 @@ def piecewise_constant_approx(dis: Disintegration, eps) -> Disintegration:
         raise ValueError("block count must divide n_cells")
     s = dis.n_cells // m
     out: list[FiberMeasure] = []
-    for blk in range(m):
-        chunk = dis.fibers[blk * s:(blk + 1) * s]
-        k0 = chunk[0].content_key()
-        if all(f.content_key() == k0 for f in chunk[1:]):
-            avg = chunk[0]
-        else:
-            acc = chunk[0]
-            for f in chunk[1:]:
-                acc = acc + f
-            avg = acc.scale(Fraction(1, s) if acc.exact else 1.0 / s)
-        out.extend([avg] * s)
-    return Disintegration(out, dis.n_cells)
+    for block in dis.ids.reshape(m, s).tolist():
+        acc = dis.table[block[0]]
+        if any(i != block[0] for i in block):
+            for i in block[1:]:
+                acc = acc + dis.table[i]
+            acc = acc.scale(Fraction(1, s) if acc.exact else 1.0 / s)
+        out.append(acc)
+    return Disintegration.from_ids(np.repeat(np.arange(m), s), out)

@@ -460,14 +460,13 @@ def prop30_observable_average(j_max_terms: int, dis: Disintegration,
     if not 1 <= j_max_terms <= len(_OBS_TERMS):
         raise ValueError(
             f"j_max_terms must lie in 1..{len(_OBS_TERMS)}")
-    all_exact = all(f.exact for f in dis.fiber_ids()[1])
     if exact is None:
-        exact = all_exact
-    elif exact and not all_exact:
+        exact = dis.exact
+    elif exact and not dis.exact:
         raise ValueError("inexact atom positions with exactness requested")
 
-    ids, distinct = dis.fiber_ids()
-    counts = np.bincount(ids, minlength=len(distinct))
+    distinct = dis.table
+    counts = np.bincount(dis.ids, minlength=len(distinct))
     total = Fraction(0)
     for i, freq, amp in _OBS_TERMS[:j_max_terms]:
         term = Fraction(0)
@@ -526,7 +525,7 @@ def prop30_example(j: int, n_cells: int = 16,
     pert = approximant_perturbation(theta, j)
     mu_j = product_disintegration(
         n_cells, rotation_orbit_fiber(pert.p, pert.k, exact=True))
-    fm = mu_j.fiber_ids()[1][0]
+    fm = mu_j.table[0]
     terms = []
     for idx, freq, amp in _OBS_TERMS:
         v = _term_value(fm, freq, True)

@@ -68,6 +68,22 @@ def test_norm_lebesgue(doubling_path, tmp_path, capsys):
     assert (doc["l1"], doc["var_p"], doc["pbv"]) == (1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("text", [
+    '{"n_cells": 2, "dimension": 1, "fibers": 5}',
+    '{"n_cells": [2], "dimension": 1, "fibers": [[], []]}',
+    '{"n_cells": 2, "dimension": 1, "fibers": [[[[NaN], 0.5]], [[[0.5], 0.5]]]}',
+    '{"n_cells": 2, "dimension": 1, '
+    '"fibers": [[[[0.25], Infinity]], [[[0.5], 0.5]]]}',
+], ids=["fibers-not-list", "n-cells-list", "nan-position", "inf-weight"])
+def test_norm_rejects_malformed_measure(doubling_path, tmp_path, capsys, text):
+    m = tmp_path / "bad.json"
+    m.write_text(text)
+    assert main(["norm", "--config", doubling_path, "--measure", str(m)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
 def test_decay_artifacts(doubling_path, tmp_path, capsys):
     args = ["decay", "--config", doubling_path, "--nmax", "12", "--N", "64",
             "--out-dir", str(tmp_path), "--out", "decay.csv"]

@@ -12,10 +12,20 @@ from skewstab.batteries import (
     signed_disintegrations,
     signed_fiber_measures,
 )
+from skewstab.arithmetic import golden_angle
+from skewstab.dynamics import (
+    SineShift,
+    SkewSystem,
+    linear_base,
+    precomposed_base,
+    transfer_step,
+    translation_family,
+)
 from skewstab.measures import (
     Disintegration,
     FiberMeasure,
     coarsen,
+    coarsen_disintegration,
     l1_norm,
     lebesgue_disintegration,
     marginal_density,
@@ -253,8 +263,10 @@ def test_var_p_matches_direct_definition():
             assert var_p(dis, p, A) == pytest.approx(
                 var_p_direct(dis, p, A), abs=1e-9)
     for dis in positive_disintegrations(67, 2, 16):
-        assert var_p(dis, 1.0, 0.5) == pytest.approx(
-            var_p_direct(dis, 1.0, 0.5), abs=1e-9)
+        # A = 1/16 gives jmax = 1: windows do not span all runs
+        for p, A in ((1.0, 0.5), (1.0, 1 / 16)):
+            assert var_p(dis, p, A) == pytest.approx(
+                var_p_direct(dis, p, A), abs=1e-9)
 
 
 def test_var_p_parameter_validation():
@@ -382,6 +394,71 @@ def test_disintegration_validation():
         Disintegration([fm1, fm2], n_cells=2)
     with pytest.raises(ValueError, match="fiber count"):
         Disintegration([fm1], n_cells=2)
+
+
+def _assert_packed(packed: Disintegration, cells: list) -> None:
+    """packed against a per-cell list: same content byte for byte, a table
+    without content-equal entries, ids numbered by first appearance."""
+    assert [f.content_key() for f in packed.fibers] == \
+        [f.content_key() for f in cells]
+    keys = [f.content_key() for f in packed.table]
+    assert len(set(keys)) == len(keys)
+    assert list(dict.fromkeys(packed.ids.tolist())) == \
+        list(range(len(packed.table)))
+    assert np.array_equal(Disintegration(cells).ids, packed.ids)
+
+
+def _block_average_reference(dis: Disintegration, m: int) -> list:
+    s = dis.n_cells // m
+    out = []
+    for blk in range(m):
+        chunk = dis.fibers[blk * s:(blk + 1) * s]
+        if all(f.content_key() == chunk[0].content_key() for f in chunk):
+            avg = chunk[0]
+        else:
+            avg = chunk[0]
+            for f in chunk[1:]:
+                avg = avg + f
+            avg = avg.scale(1.0 / s)
+        out.extend([avg] * s)
+    return out
+
+
+def _transfer_reference(sys: SkewSystem, dis: Disintegration,
+                        eps_f: float) -> list:
+    n = dis.n_cells
+    out = []
+    for k in range(n):
+        parts = [sys.fiber.map_for(sys.fiber.indicator_member(c, n))
+                 .apply(dis.fibers[c]).scale(w)
+                 for c, w in sys.base.source_cells(n, k)]
+        fib = parts[0]
+        for extra in parts[1:]:
+            fib = fib + extra
+        out.append(coarsen(fib, eps_f))
+    return out
+
+
+def test_packed_operations_match_per_cell_loop():
+    batteries = signed_disintegrations(89, 4, 16) + \
+        positive_disintegrations(97, 4, 16)
+    systems = [SkewSystem(linear_base(2), translation_family(golden_angle())),
+               SkewSystem(precomposed_base(2, SineShift(0.01)),
+                          translation_family(golden_angle()))]
+    for a, b in zip(batteries, batteries[1:] + batteries[:1]):
+        _assert_packed(a, list(a.fibers))
+        _assert_packed(a.scale(-0.37), [f.scale(-0.37) for f in a.fibers])
+        # all fibers vanish: the table merges to one entry
+        _assert_packed(a.scale(0.0), [f.scale(0.0) for f in a.fibers])
+        _assert_packed(a + b, [f + g for f, g in zip(a.fibers, b.fibers)])
+        _assert_packed(a - b, [f - g for f, g in zip(a.fibers, b.fibers)])
+        _assert_packed(coarsen_disintegration(a, 1 / 8),
+                       [coarsen(f, 1 / 8) for f in a.fibers])
+        _assert_packed(piecewise_constant_approx(a, 1 / 4),
+                       _block_average_reference(a, 4))
+        for sys in systems:
+            _assert_packed(transfer_step(sys, a, eps_f=2.0 ** -10),
+                           _transfer_reference(sys, a, 2.0 ** -10))
 
 
 def test_rotation_orbit_fiber_checks_gcd():
