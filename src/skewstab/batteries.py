@@ -25,36 +25,35 @@ __all__ = [
 ]
 
 
-def _random_fiber(rng: np.random.Generator, max_atoms: int, dimension: int,
-                  positive: bool, grid: int | None = None) -> FiberMeasure:
+def _random_fiber(rng: np.random.Generator, max_atoms: int, positive: bool,
+                  grid: int | None = None) -> FiberMeasure:
     n = int(rng.integers(1, max_atoms + 1))
-    pos = rng.random((n, dimension))
+    pos = rng.random(n)
     if grid is not None:
         pos = np.round(pos * grid) / grid
     w = rng.uniform(-1.0, 1.0, n)
     if positive:
         w = np.abs(w) + 1e-3
-    return FiberMeasure(pos, w, dimension=dimension)
+    return FiberMeasure(pos, w)
 
 
 def signed_fiber_measures(seed: int, count: int, max_atoms: int = 6,
-                          dimension: int = 1,
                           grid: int | None = None) -> list[FiberMeasure]:
     """Signed atom measures mixing the dispatch regimes of w1_norm:
     general signed, single-signed, and exactly balanced."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        fm = _random_fiber(rng, max_atoms, dimension, positive=False, grid=grid)
+        fm = _random_fiber(rng, max_atoms, positive=False, grid=grid)
         style = int(rng.integers(0, 4))
         atoms = fm.atoms()
         if style == 2:
             fm = FiberMeasure([a for a, _ in atoms],
-                              [abs(w) for _, w in atoms], dimension=dimension)
+                              [abs(w) for _, w in atoms])
         elif style == 3 and len(atoms) >= 2:
             w = [wt for _, wt in atoms]
             w[-1] = -sum(w[:-1])
-            fm = FiberMeasure([a for a, _ in atoms], w, dimension=dimension)
+            fm = FiberMeasure([a for a, _ in atoms], w)
         out.append(fm)
     return out
 
@@ -71,9 +70,9 @@ def _run_ids(rng: np.random.Generator, n_cells: int, n_distinct: int) -> np.ndar
 
 
 def _run_disintegration(rng: np.random.Generator, n_cells: int, *,
-                        n_distinct: int, max_atoms: int, positive: bool,
-                        dimension: int = 1) -> Disintegration:
-    pool = [_random_fiber(rng, max_atoms, dimension, positive)
+                        n_distinct: int, max_atoms: int,
+                        positive: bool) -> Disintegration:
+    pool = [_random_fiber(rng, max_atoms, positive)
             for _ in range(n_distinct)]
     scaled = [f.scale(1.0 / n_cells) for f in pool]
     ids = _run_ids(rng, n_cells, n_distinct)
@@ -81,22 +80,20 @@ def _run_disintegration(rng: np.random.Generator, n_cells: int, *,
 
 
 def positive_disintegrations(seed: int, count: int, n_cells: int,
-                             n_distinct: int = 6, max_atoms: int = 4,
-                             dimension: int = 1) -> list[Disintegration]:
+                             n_distinct: int = 6,
+                             max_atoms: int = 4) -> list[Disintegration]:
     rng = np.random.default_rng(seed)
     return [_run_disintegration(rng, n_cells, n_distinct=n_distinct,
-                                max_atoms=max_atoms, positive=True,
-                                dimension=dimension)
+                                max_atoms=max_atoms, positive=True)
             for _ in range(count)]
 
 
 def signed_disintegrations(seed: int, count: int, n_cells: int,
-                           n_distinct: int = 6, max_atoms: int = 4,
-                           dimension: int = 1) -> list[Disintegration]:
+                           n_distinct: int = 6,
+                           max_atoms: int = 4) -> list[Disintegration]:
     rng = np.random.default_rng(seed)
     return [_run_disintegration(rng, n_cells, n_distinct=n_distinct,
-                                max_atoms=max_atoms, positive=False,
-                                dimension=dimension)
+                                max_atoms=max_atoms, positive=False)
             for _ in range(count)]
 
 
@@ -110,7 +107,7 @@ def unit_pbv_battery(seed: int, size: int, n_cells: int, p: float = 1.0,
     for _ in range(n_point):
         y = float(rng.random())
         out.append(product_disintegration(
-            n_cells, FiberMeasure([[y]], [1.0], dimension=1)))
+            n_cells, FiberMeasure([y], [1.0])))
     while len(out) < size:
         positive = bool(rng.integers(0, 2))
         dis = _run_disintegration(rng, n_cells, n_distinct=4, max_atoms=3,

@@ -123,7 +123,7 @@ def _cmd_decay(args) -> int:
     else:
         # default zero-mass input: m (x) (delta_0 - delta_half)
         g = product_disintegration(
-            args.N, FiberMeasure([(0.0,), (0.5,)], [1.0, -1.0]))
+            args.N, FiberMeasure([0.0, 0.5], [1.0, -1.0]))
     kw = {} if args.eps_f is None else {"eps_f": args.eps_f}
     series = equilibrium_decay(system, g, args.nmax, **kw)
     out = _resolve_out(args, args.out)

@@ -135,6 +135,12 @@ def _angle_to_text(theta) -> str:
 
 # ------------------------------------------------------------------ system
 
+def _kind(doc, where: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    return doc.get("kind")
+
+
 def _load_sigma(doc: dict) -> SineShift:
     _require(doc, {"kind", "amplitude"}, set(), "base.sigma")
     if doc["kind"] != "sine":
@@ -143,17 +149,20 @@ def _load_sigma(doc: dict) -> SineShift:
 
 
 def _load_base(doc: dict) -> BaseMap:
-    kind = doc.get("kind")
+    kind = _kind(doc, "base")
     if kind == "linear":
         _require(doc, {"kind", "l"}, set(), "base")
-        return linear_base(int(doc["l"]))
+        return linear_base(_positive_int(doc, "l", "base"))
     if kind == "linear_precomposed":
         _require(doc, {"kind", "l", "sigma"}, set(), "base")
-        return precomposed_base(int(doc["l"]), _load_sigma(doc["sigma"]))
+        return precomposed_base(_positive_int(doc, "l", "base"),
+                                _load_sigma(doc["sigma"]))
     raise ValueError(f"unknown base kind {kind!r}")
 
 
 def _load_indicator(doc) -> tuple:
+    if not isinstance(doc, list):
+        raise ValueError("indicator must be a list of [a, b] pairs")
     out = []
     for iv in doc:
         if not isinstance(iv, list) or len(iv) != 2:
@@ -166,7 +175,7 @@ def _load_indicator(doc) -> tuple:
 
 
 def _load_fiber(doc: dict):
-    kind = doc.get("kind")
+    kind = _kind(doc, "fiber")
     common = {"A"}
     if kind == "translation":
         _require(doc, {"kind", "theta"}, common | {"indicator"}, "fiber")
@@ -180,7 +189,8 @@ def _load_fiber(doc: dict):
         _require(doc, {"kind", "delta", "orbit_k"}, common | {"scale"},
                  "fiber")
         return deformation_family(
-            _parse_scalar(doc["delta"]), int(doc["orbit_k"]),
+            _parse_scalar(doc["delta"]),
+            _positive_int(doc, "orbit_k", "fiber"),
             scale=float(_parse_scalar(doc.get("scale", 1))),
             **({"A": float(_parse_scalar(doc["A"]))} if "A" in doc else {}))
     if kind == "composite":
@@ -193,7 +203,7 @@ def _load_fiber(doc: dict):
             kw["A"] = float(_parse_scalar(doc["A"]))
         return composite_family(
             parse_angle(doc["theta"]), _parse_scalar(doc["delta"]),
-            int(doc["orbit_k"]),
+            _positive_int(doc, "orbit_k", "fiber"),
             scale=float(_parse_scalar(doc.get("scale", 1))), **kw)
     raise ValueError(f"unknown fiber kind {kind!r}")
 
@@ -207,10 +217,16 @@ def load_system(doc: dict) -> SkewSystem:
     fiber = _load_fiber(doc["fiber"])
     ly = (1.0, 1.0)
     if "constants" in doc:
-        _require(doc["constants"], set(), _CONSTANT_KEYS, "constants")
-        if "ly_base" in doc["constants"]:
-            a_t, b_t = doc["constants"]["ly_base"]
-            ly = (float(a_t), float(b_t))
+        consts = doc["constants"]
+        _require(consts, set(), _CONSTANT_KEYS, "constants")
+        for key, v in consts.items():
+            if key == "ly_base":
+                if not isinstance(v, list) or len(v) != 2:
+                    raise ValueError("constants: ly_base must be a list "
+                                     "[A_T, B_T] of two numbers")
+                ly = tuple(float(_parse_scalar(x)) for x in v)
+            else:
+                _parse_scalar(v)
     return SkewSystem(base, fiber, ly_base=ly)
 
 
@@ -228,7 +244,7 @@ def system_diagnostics(doc: dict, n_cells: int | None = None,
                 "xi": sys.base.xi, "H_hat": sys.fiber.h_hat(p)}
     for key, have in computed.items():
         if key in declared:
-            want = float(declared[key])
+            want = float(_parse_scalar(declared[key]))
             if abs(want - have) > 1e-9 * max(1.0, abs(have)):
                 out.append(f"declared {key} = {want:g} does not match "
                            f"built-in value {have:g}")
@@ -269,6 +285,10 @@ def save_system(sys: SkewSystem) -> dict:
 # ---------------------------------------------------------------- measures
 
 def load_measure(doc: dict) -> Disintegration:
+    """Measure JSON: a builtin, or per-cell atom lists [[position], weight]
+    on the circle ("dimension" must be 1)."""
+    if not isinstance(doc, dict):
+        raise ValueError("measure: expected a JSON object")
     if "builtin" in doc:
         _require(doc, {"builtin", "n_cells", "fiber_atoms"}, {"exact"},
                  "measure")
@@ -280,7 +300,9 @@ def load_measure(doc: dict) -> Disintegration:
             exact=bool(doc.get("exact", False)))
     _require(doc, {"n_cells", "dimension", "fibers"}, set(), "measure")
     n = _positive_int(doc, "n_cells", "measure")
-    d = _positive_int(doc, "dimension", "measure")
+    if _positive_int(doc, "dimension", "measure") != 1:
+        raise ValueError(f"measure: dimension must be 1 (fibers are "
+                         f"circles), got {doc['dimension']}")
     rows = doc["fibers"]
     if not isinstance(rows, list) or \
             not all(isinstance(atoms, list) for atoms in rows):
@@ -295,24 +317,22 @@ def load_measure(doc: dict) -> Disintegration:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValueError("fiber atoms must be [[pos...], weight]")
             pos, w = pair
-            if not isinstance(pos, list) or len(pos) != d:
-                raise ValueError(f"atom position must list {d} coordinates")
-            positions.append(tuple(_parse_scalar(c) for c in pos))
+            if not isinstance(pos, list) or len(pos) != 1:
+                raise ValueError("atom position must list 1 coordinate")
+            positions.append(_parse_scalar(pos[0]))
             weights.append(_parse_scalar(w))
-        scalars = [c for p in positions for c in p] + weights
-        exact = bool(scalars) and all(
-            isinstance(s, (Fraction, int)) for s in scalars)
-        fibers.append(FiberMeasure(positions, weights, dimension=d,
-                                   exact=exact))
+        exact = bool(positions) and all(
+            isinstance(s, (Fraction, int)) for s in positions + weights)
+        fibers.append(FiberMeasure(positions, weights, exact=exact))
     return Disintegration(fibers, n_cells=n)
 
 
 def save_measure(dis: Disintegration) -> dict:
     """The explicit per-cell format; each distinct fiber is formatted once
     and its row shared by the cells that carry it."""
-    distinct = [[[[_format_scalar(c) for c in p], _format_scalar(w)]
+    distinct = [[[[_format_scalar(p)], _format_scalar(w)]
                  for p, w in fm.atoms()] for fm in dis.table]
-    return {"n_cells": dis.n_cells, "dimension": dis.dimension,
+    return {"n_cells": dis.n_cells, "dimension": 1,
             "fibers": [distinct[i] for i in dis.ids.tolist()]}
 
 

@@ -266,12 +266,10 @@ class OrbitBump:
         return 1.0 + self.strength * self.max_g_prime()
 
     def fixes(self, fm: FiberMeasure) -> bool:
-        # exact atoms on the half-orbit grid are fixed points of the bump
-        if not fm.exact:
-            return False
-        return all(
-            (pos[0] * 2 * self.orbit_k).denominator == 1
-            for pos, _ in fm.atoms())
+        # exact atoms on the half-orbit grid {i/(2k)} are fixed points of
+        # the bump; the position denominator q is in lowest terms, so all
+        # atoms lie on that grid exactly when q divides 2k
+        return fm.exact and (2 * self.orbit_k) % fm.q == 0
 
 
 @dataclass(frozen=True)
@@ -555,7 +553,7 @@ def ly_check(sys: SkewSystem, dis: Disintegration, p: float,
     """Evaluates both sides of the fiberwise variation inequality
     var_p(L mu) <= lambda^p alpha var_p(mu) + (H_hat + 3 q alpha C_h
     A^(xi-p)) sup|mu_x| for a positive measure."""
-    if any(w < 0 for f in dis.table for _, w in f.atoms()):
+    if any((f.weights < 0).any() for f in dis.table):
         raise ValueError("ly_check requires a positive measure")
     sys.require_domination()
     if A is None:

@@ -1,11 +1,11 @@
-"""Signed measures on [0,1] x T^d disintegrated along a uniform base grid.
+"""Signed measures on [0,1] x T disintegrated along a uniform base grid.
 
-A FiberMeasure is a finite signed atomic measure on the d-torus.  A
-Disintegration packs the fiber restrictions to the base cells
-[i/N,(i+1)/N) as an id per cell plus a table of content-distinct fibers
-numbered by first appearance; algebra, coarsening and the norms work on
-the table and the id array, so their cost scales with the number of
-distinct fibers rather than N.
+A FiberMeasure is a finite signed atomic measure on the circle T = R/Z,
+stored as sorted 1-D position and weight arrays.  A Disintegration packs
+the fiber restrictions to the base cells [i/N,(i+1)/N) as an id per cell
+plus a table of content-distinct fibers numbered by first appearance;
+algebra, coarsening and the norms work on the table and the id array, so
+their cost scales with the number of distinct fibers rather than N.
 
 The W1 norm here is the dual Lipschitz norm with the extra sup bound
 (|g| <= 1, Lip(g) <= 1), evaluated by linear programming with exact
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,88 +62,102 @@ def _is_exact_scalar(v) -> bool:
     return isinstance(v, (Fraction, int)) and not isinstance(v, bool)
 
 
-def _mod1(v):
-    if isinstance(v, Fraction):
-        return v % 1
-    return v - math.floor(v)
+def _over_common_denominator(values) -> tuple[np.ndarray, int]:
+    """Exact scalars as integer numerators over their least common
+    denominator."""
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return np.array([f.numerator * (den // f.denominator) for f in fracs],
+                    dtype=object), den
+
+
+def _reduce(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    g = math.gcd(den, *nums.tolist())
+    return (nums // g, den // g) if g > 1 else (nums, den)
+
+
+def _fiber(pos: np.ndarray, w: np.ndarray, q: int | None = None,
+           r: int | None = None, presorted: bool = False) -> "FiberMeasure":
+    out = FiberMeasure.__new__(FiberMeasure)
+    out._set(pos, w, q, r, presorted)
+    return out
 
 
 class FiberMeasure:
-    """Finite signed atomic measure on T^d with a float or exact backend.
+    """Finite signed atomic measure on the circle with a float or exact
+    backend.
 
-    Atoms are canonicalized at construction: positions reduced mod 1,
-    coincident atoms merged, and (float backend) weights below 1e-15
-    dropped; the exact backend only drops exact zeros so that total mass
-    stays an identity.  Atoms are kept sorted by position, which makes the
-    byte-level content key deterministic.
+    Atom i sits at positions[i] / q with weight weights[i] / r; positions
+    are sorted and distinct, in [0, q).  The float backend holds float64
+    arrays with q = r = 1.  The exact backend holds integer numerators
+    (Python ints in object arrays, so any denominator fits) over shared
+    denominators q and r in lowest terms.  Weights below 1e-15 are dropped
+    on the float side; the exact side drops only exact zeros, so that
+    total mass stays an identity.
+
+    The constructor takes positions as scalars or 1-element sequences;
+    exact=None picks the exact backend when there are atoms and every
+    position is a Fraction or int (float weights then convert exactly).
     """
 
-    __slots__ = ("dimension", "exact", "positions", "weights", "_key")
+    __slots__ = ("exact", "positions", "weights", "q", "r", "_key")
 
-    def __init__(self, positions, weights, dimension: int | None = None,
-                 exact: bool | None = None):
-        if (exact is False and isinstance(positions, np.ndarray)
-                and isinstance(weights, np.ndarray)):
-            arr = np.asarray(positions, dtype=float)
-            if arr.ndim == 1:
-                arr = arr.reshape(-1, 1)
-            self.dimension = int(dimension) if dimension else \
-                (arr.shape[1] if arr.size else 1)
-            self.exact = False
-            self._init_float(arr, np.asarray(weights, dtype=float))
-            self._key = None
-            return
-        pos_list = []
-        w_list = []
-        for p, w in zip(positions, weights):
+    def __init__(self, positions, weights, exact: bool | None = None):
+        pos = []
+        for p in positions:
             if isinstance(p, (tuple, list, np.ndarray)):
-                pos_list.append(tuple(p))
-            else:
-                pos_list.append((p,))
-            w_list.append(w)
-        if dimension is None:
-            dimension = len(pos_list[0]) if pos_list else 1
+                if len(p) != 1:
+                    raise ValueError("atom positions take one coordinate")
+                p = p[0]
+            pos.append(p)
+        if len(pos) != len(weights):
+            raise ValueError("positions and weights differ in length")
         if exact is None:
-            # exact iff there are atoms and every position coordinate is
-            # exact; float weights are then converted exactly
-            exact = bool(pos_list) and all(
-                _is_exact_scalar(c) for p in pos_list for c in p)
-        self.dimension = int(dimension)
-        self.exact = bool(exact)
-        if self.exact:
-            merged: dict[tuple, Fraction] = {}
-            for p, w in zip(pos_list, w_list):
-                key = tuple(_mod1(Fraction(c)) for c in p)
-                merged[key] = merged.get(key, Fraction(0)) + Fraction(w)
-            items = sorted((k, v) for k, v in merged.items() if v != 0)
-            self.positions = tuple(k for k, _ in items)
-            self.weights = tuple(v for _, v in items)
+            exact = len(pos) > 0 and all(_is_exact_scalar(p) for p in pos)
+        if exact:
+            pn, q = _over_common_denominator(pos)
+            wn, r = _over_common_denominator(weights)
+            self._set(pn, wn, q, r)
         else:
-            arr = np.asarray(pos_list, dtype=float).reshape(
-                len(pos_list), self.dimension)
-            self._init_float(arr, np.asarray(w_list, dtype=float))
-        self._key = None
+            self._set(np.array(pos, dtype=float),
+                      np.array(weights, dtype=float))
 
-    def _init_float(self, arr: np.ndarray, w: np.ndarray) -> None:
-        if len(w) == 0:
-            self.positions = np.empty((0, self.dimension), dtype=float)
-            self.weights = np.empty(0, dtype=float)
-            return
-        arr = arr - np.floor(arr)
-        arr[arr >= 1.0] = 0.0
-        order = np.lexsort(arr.T[::-1])
-        arr = arr[order]
-        w = w[order]
-        if len(w) > 1:
-            fresh = np.any(arr[1:] != arr[:-1], axis=1)
-            starts = np.flatnonzero(np.concatenate(([True], fresh)))
-            w = np.add.reduceat(w, starts)
-            arr = arr[starts]
-        keep = np.abs(w) >= _DROP_TOL
+    def _set(self, pos: np.ndarray, w: np.ndarray, q: int | None = None,
+             r: int | None = None, presorted: bool = False) -> None:
+        """Canonical form from 1-D arrays: float64 values, or (q and r
+        given) integer numerators over the denominators q and r.
+
+        Positions are reduced mod 1, put in order by a stable argsort and
+        coincident atoms merged by np.add.reduceat; presorted=True says
+        that has been done.  Weights below 1e-15 (float) or exactly zero
+        (exact) are dropped, and exact denominators are reduced by their
+        gcd with the numerators, so equal content means equal arrays and
+        denominators.
+        """
+        exact = q is not None
+        if not presorted and len(pos):
+            if exact:
+                pos = pos % q
+            else:
+                pos = pos - np.floor(pos)
+                pos[pos >= 1.0] = 0.0
+            if len(pos) > 1:
+                order = np.argsort(pos, kind="stable")
+                pos, w = pos[order], w[order]
+                fresh = pos[1:] != pos[:-1]
+                if not fresh.all():
+                    starts = np.flatnonzero(np.concatenate(([True], fresh)))
+                    pos, w = pos[starts], np.add.reduceat(w, starts)
+        keep = w != 0 if exact else np.abs(w) >= _DROP_TOL
         if not keep.all():
-            arr, w = arr[keep], w[keep]
-        self.positions = arr
-        self.weights = w
+            pos, w = pos[keep], w[keep]
+        self.exact = exact
+        if exact:
+            self.positions, self.q = _reduce(pos, q)
+            self.weights, self.r = _reduce(w, r)
+        else:
+            self.positions, self.weights, self.q, self.r = pos, w, 1, 1
+        self._key = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -156,56 +170,63 @@ class FiberMeasure:
 
     def mass(self):
         if self.exact:
-            return sum(self.weights, Fraction(0))
+            return Fraction(sum(self.weights.tolist()), self.r)
         return float(math.fsum(self.weights))
 
     def abs_mass(self):
         if self.exact:
-            return sum((abs(w) for w in self.weights), Fraction(0))
-        return float(math.fsum(abs(w) for w in self.weights))
+            return Fraction(sum(np.abs(self.weights).tolist()), self.r)
+        return float(math.fsum(np.abs(self.weights)))
 
     def content_key(self):
         if self._key is None:
             if self.exact:
-                self._key = (self.dimension, True, self.positions, self.weights)
+                self._key = (True, self.q, self.r,
+                             tuple(self.positions.tolist()),
+                             tuple(self.weights.tolist()))
             else:
-                self._key = (self.dimension, False, self.positions.tobytes(),
+                self._key = (False, self.positions.tobytes(),
                              self.weights.tobytes())
         return self._key
 
-    def atoms(self) -> list[tuple[tuple, object]]:
-        return [(tuple(p), w) for p, w in zip(self.positions, self.weights)]
+    def atoms(self) -> list[tuple[object, object]]:
+        """(position, weight) pairs: Fractions on the exact backend."""
+        pos, w = self.positions.tolist(), self.weights.tolist()
+        if self.exact:
+            return [(Fraction(p, self.q), Fraction(v, self.r))
+                    for p, v in zip(pos, w)]
+        return list(zip(pos, w))
 
     # -- conversions -----------------------------------------------------
 
     def to_float(self) -> "FiberMeasure":
         if not self.exact:
             return self
-        return FiberMeasure([tuple(float(c) for c in p) for p in self.positions],
-                            [float(w) for w in self.weights],
-                            dimension=self.dimension, exact=False)
+        # int / int true division rounds correctly, like float(Fraction)
+        return _fiber((self.positions / self.q).astype(float),
+                      (self.weights / self.r).astype(float))
 
     # -- algebra ----------------------------------------------------------
 
     def scale(self, s) -> "FiberMeasure":
         if self.exact and _is_exact_scalar(s):
-            return FiberMeasure(self.positions, [Fraction(s) * w for w in self.weights],
-                                dimension=self.dimension, exact=True)
+            s = Fraction(s)
+            return _fiber(self.positions, self.weights * s.numerator,
+                          self.q, self.r * s.denominator, presorted=True)
         a = self.to_float()
-        return FiberMeasure(a.positions, a.weights * float(s),
-                            dimension=self.dimension, exact=False)
+        return _fiber(a.positions, a.weights * float(s), presorted=True)
 
     def __add__(self, other: "FiberMeasure") -> "FiberMeasure":
-        if self.dimension != other.dimension:
-            raise ValueError("dimension mismatch")
         if self.exact and other.exact:
-            return FiberMeasure(self.positions + other.positions,
-                                self.weights + other.weights,
-                                dimension=self.dimension, exact=True)
+            q, r = math.lcm(self.q, other.q), math.lcm(self.r, other.r)
+            return _fiber(
+                np.concatenate([self.positions * (q // self.q),
+                                other.positions * (q // other.q)]),
+                np.concatenate([self.weights * (r // self.r),
+                                other.weights * (r // other.r)]), q, r)
         a, b = self.to_float(), other.to_float()
-        return FiberMeasure(np.concatenate([a.positions, b.positions]),
-                            np.concatenate([a.weights, b.weights]),
-                            dimension=self.dimension, exact=False)
+        return _fiber(np.concatenate([a.positions, b.positions]),
+                      np.concatenate([a.weights, b.weights]))
 
     def __sub__(self, other: "FiberMeasure") -> "FiberMeasure":
         return self + other.scale(-1)
@@ -214,28 +235,23 @@ class FiberMeasure:
         return self.scale(-1)
 
     def translate(self, shift) -> "FiberMeasure":
-        """Pushforward by y -> y + shift on T^d."""
-        if isinstance(shift, (tuple, list)):
-            vec = tuple(shift)
-        else:
-            vec = (shift,) * self.dimension
-        if self.exact and all(_is_exact_scalar(c) for c in vec):
-            new_pos = [tuple(_mod1(c + Fraction(s)) for c, s in zip(p, vec))
-                       for p in self.positions]
-            return FiberMeasure(new_pos, self.weights, dimension=self.dimension,
-                                exact=True)
+        """Pushforward by the rotation y -> y + shift."""
+        if self.exact and _is_exact_scalar(shift):
+            s = Fraction(shift)
+            q = math.lcm(self.q, s.denominator)
+            return _fiber(self.positions * (q // self.q)
+                          + s.numerator * (q // s.denominator),
+                          self.weights, q, self.r)
         a = self.to_float()
-        arr = a.positions + np.asarray([float(s) for s in vec])
-        return FiberMeasure(arr, a.weights, dimension=self.dimension, exact=False)
+        return _fiber(a.positions + float(shift), a.weights)
 
     def apply_map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "FiberMeasure":
-        """Pushforward by a vectorized float map on positions (d = 1)."""
+        """Pushforward by a vectorized float map on positions."""
         a = self.to_float()
         if len(a) == 0:
             return a
-        new = fn(a.positions[:, 0]) if self.dimension == 1 else fn(a.positions)
-        new = np.asarray(new, dtype=float).reshape(len(a), -1)
-        return FiberMeasure(new, a.weights, dimension=self.dimension, exact=False)
+        return _fiber(np.asarray(fn(a.positions), dtype=float).reshape(-1),
+                      a.weights)
 
 
 # --------------------------------------------------------------------------
@@ -245,95 +261,50 @@ class FiberMeasure:
 
 def _circle_dist(a, b):
     d = abs(a - b)
-    if isinstance(d, Fraction):
-        return min(d, 1 - d)
-    return min(d, 1.0 - d)
-
-
-def _torus_dist(p, q, exact: bool):
-    if len(p) == 1:
-        return _circle_dist(p[0], q[0])
-    acc = 0.0
-    for a, b in zip(p, q):
-        c = float(_circle_dist(a, b))
-        acc += c * c
-    return math.sqrt(acc)
+    return min(d, 1 - d)
 
 
 def _w1_balanced_circle(fm: FiberMeasure):
     """min_c integral |F(t) - c| dt on the circle: exact transport value
-    of a balanced measure, equal to the capped dual norm (cap never binds)."""
-    if fm.exact:
-        pos = [p[0] for p in fm.positions]
-        w = list(fm.weights)
-        n = len(w)
-        prefix = []
-        acc = Fraction(0)
-        for wi in w:
-            acc += wi
-            prefix.append(acc)
-        gaps = [pos[i + 1] - pos[i] for i in range(n - 1)]
-        gaps.append(pos[0] + 1 - pos[n - 1])
-        pairs = sorted(zip(prefix, gaps))
-        total = sum(gaps, Fraction(0))
-        half = total / 2
-        acc = Fraction(0)
-        c = pairs[-1][0]
-        for f, g in pairs:
-            acc += g
-            if acc >= half:
-                c = f
-                break
-        return sum((g * abs(f - c) for f, g in zip(prefix, gaps)), Fraction(0))
-    pos = fm.positions[:, 0]
-    w = fm.weights
-    n = len(w)
+    of a balanced measure, equal to the capped dual norm (cap never binds).
+    Runs on the numerator arrays; c is a gap-weighted median of the prefix
+    sums F, and the exact value is one Fraction over q * r."""
+    pos, w = fm.positions, fm.weights
     prefix = np.cumsum(w)
-    gaps = np.empty(n)
-    gaps[:-1] = np.diff(pos)
-    gaps[-1] = pos[0] + 1.0 - pos[-1]
+    gaps = np.diff(pos, append=pos[0] + fm.q)
     order = np.argsort(prefix, kind="stable")
     cum = np.cumsum(gaps[order])
-    half = cum[-1] / 2.0
-    idx = int(np.searchsorted(cum, half, side="left"))
-    c = prefix[order[min(idx, n - 1)]]
-    return float(np.dot(gaps, np.abs(prefix - c)))
+    c = prefix[order[np.argmax(2 * cum >= cum[-1])]]
+    total = np.dot(gaps, np.abs(prefix - c))
+    if fm.exact:
+        return Fraction(total, fm.q * fm.r)
+    return float(total)
 
 
-def _w1_lp(fm: FiberMeasure, adjacent: bool, force_solver: str | None = None):
-    """Capped-Lipschitz dual LP.  adjacent=True uses only cyclically
-    consecutive constraints (valid on the circle: chaining along either arc
-    reproduces every pairwise constraint)."""
+def _w1_lp(fm: FiberMeasure):
+    """Capped-Lipschitz dual LP with only cyclically consecutive
+    constraints (valid on the circle: chaining along either arc reproduces
+    every pairwise constraint)."""
     n = len(fm)
-    exact_ok = fm.exact and fm.dimension == 1 and n <= _EXACT_LP_MAX_ATOMS
-    solver = force_solver
-    if solver is None:
-        if exact_ok:
-            solver = "exact"
-        elif n <= _DENSE_LP_MAX_ATOMS:
-            solver = "dense"
-        else:
-            solver = "scipy"
-
-    if fm.dimension == 1 and adjacent:
-        pos = [p[0] for p in fm.positions]
-        pairs = []
-        for i in range(n - 1):
-            pairs.append((i, i + 1, _circle_dist(pos[i], pos[i + 1])))
-        if n > 2:
-            pairs.append((n - 1, 0, _circle_dist(pos[n - 1], pos[0])))
+    if fm.exact and n <= _EXACT_LP_MAX_ATOMS:
+        solver = "exact"
+    elif n <= _DENSE_LP_MAX_ATOMS:
+        solver = "dense"
     else:
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                pairs.append((i, j, _torus_dist(fm.positions[i], fm.positions[j],
-                                                fm.exact)))
+        solver = "scipy"
+
+    atoms = fm.atoms()
+    pos = [p for p, _ in atoms]
+    pairs = [(i, i + 1, _circle_dist(pos[i], pos[i + 1]))
+             for i in range(n - 1)]
+    if n > 2:
+        pairs.append((n - 1, 0, _circle_dist(pos[n - 1], pos[0])))
 
     if solver == "scipy":
         from scipy import sparse
         from scipy.optimize import linprog
 
-        w = np.asarray([float(x) for x in fm.weights])
+        w = np.asarray([float(x) for _, x in atoms])
         rows, cols, data, rhs = [], [], [], []
         r = 0
         for i, j, d in pairs:
@@ -351,10 +322,10 @@ def _w1_lp(fm: FiberMeasure, adjacent: bool, force_solver: str | None = None):
 
     exact = solver == "exact"
     if exact:
-        w = [Fraction(x) for x in fm.weights]
+        w = [x for _, x in atoms]
         two = Fraction(2)
     else:
-        w = [float(x) for x in fm.weights]
+        w = [float(x) for _, x in atoms]
         two = 2.0
     # substitute h = g + 1 in [0, 2] so the slack basis is feasible
     A = []
@@ -380,39 +351,27 @@ def _w1_lp(fm: FiberMeasure, adjacent: bool, force_solver: str | None = None):
 
 
 def w1_norm(fm: FiberMeasure, *, method: str = "auto"):
-    """Dual norm sup { integral g d(fm) : |g| <= 1, Lip(g) <= 1 } on T^d.
+    """Dual norm sup { integral g d(fm) : |g| <= 1, Lip(g) <= 1 } on the
+    circle.
 
     method: "auto" picks closed forms where valid, "lp" forces the linear
-    program (adjacent constraints for d = 1), "lp_full" forces the full
-    pairwise program.  Returns a Fraction on fully exact fast paths.
-    Near-balanced float measures (|mass| <= 1e-12 * |weights|_1) reuse the
-    balanced closed form; the error of that shortcut is <= 2|mass|.
+    program.  Returns a Fraction on fully exact fast paths.  Near-balanced
+    float measures (|mass| <= 1e-12 * |weights|_1) reuse the balanced
+    closed form; the error of that shortcut is <= 2|mass|.
     """
-    n = len(fm)
-    if n == 0:
+    if len(fm) == 0:
         return Fraction(0) if fm.exact else 0.0
     if method == "lp":
-        return _w1_lp(fm, adjacent=True)
-    if method == "lp_full":
-        return _w1_lp(fm, adjacent=False)
+        return _w1_lp(fm)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    if fm.exact:
-        signs_pos = all(w >= 0 for w in fm.weights)
-        signs_neg = all(w <= 0 for w in fm.weights)
-    else:
-        signs_pos = bool(np.all(fm.weights >= 0))
-        signs_neg = bool(np.all(fm.weights <= 0))
-    if signs_pos or signs_neg:
+    # weights are never zero, so this is the single-signed test
+    if not (fm.weights < 0).any() or not (fm.weights > 0).any():
         return abs(fm.mass())
-    if fm.dimension == 1:
-        m = fm.mass()
-        if m == 0:
-            return _w1_balanced_circle(fm)
-        if not fm.exact and abs(m) <= _BALANCE_RTOL * fm.abs_mass():
-            return _w1_balanced_circle(fm)
-        return _w1_lp(fm, adjacent=True)
-    return _w1_lp(fm, adjacent=False)
+    m = fm.mass()
+    if m == 0 or (not fm.exact and abs(m) <= _BALANCE_RTOL * fm.abs_mass()):
+        return _w1_balanced_circle(fm)
+    return _w1_lp(fm)
 
 
 # --------------------------------------------------------------------------
@@ -422,7 +381,7 @@ def w1_norm(fm: FiberMeasure, *, method: str = "auto"):
 
 class Disintegration:
     """Grid disintegration packed as an id per cell plus a table of
-    distinct fibers: table[ids[i]] is the restriction to cell i x T^d, so
+    distinct fibers: table[ids[i]] is the restriction to cell i x T, so
     its mass() is the measure of that slab and the marginal density reads
     N * mass on each cell.
 
@@ -432,7 +391,7 @@ class Disintegration:
     and pair id arrays instead of looping over cells.
     """
 
-    __slots__ = ("n_cells", "dimension", "ids", "table")
+    __slots__ = ("n_cells", "ids", "table")
 
     def __init__(self, fibers: Sequence[FiberMeasure], n_cells: int | None = None):
         fibers = list(fibers)
@@ -455,9 +414,6 @@ class Disintegration:
             raise ValueError("empty disintegration")
         if ids.min() < 0 or ids.max() >= len(table):
             raise ValueError("fiber id out of range")
-        self.dimension = table[0].dimension
-        if any(f.dimension != self.dimension for f in table):
-            raise ValueError("fiber dimension mismatch")
         self.n_cells = len(ids)
         self.ids, self.table = _canonical(ids, table)
         self.ids.flags.writeable = False
@@ -511,7 +467,7 @@ class Disintegration:
         return self._zip_op(other, lambda a, b: a - b)
 
     def _check_compatible(self, other: "Disintegration") -> None:
-        if self.n_cells != other.n_cells or self.dimension != other.dimension:
+        if self.n_cells != other.n_cells:
             raise ValueError("incompatible disintegrations")
 
     def to_float(self) -> "Disintegration":
@@ -544,12 +500,14 @@ def _canonical(ids: np.ndarray, table: Sequence[FiberMeasure]
 def uniform_fiber(n_atoms: int, exact: bool = False, weight_total=1) -> FiberMeasure:
     """Uniform probability-like measure: n atoms at j/n, total weight as given."""
     if exact:
+        # already canonical: positions j over n_atoms, one weight numerator
         w = Fraction(weight_total) / n_atoms
-        return FiberMeasure([Fraction(j, n_atoms) for j in range(n_atoms)],
-                            [w] * n_atoms, dimension=1, exact=True)
+        return _fiber(np.arange(n_atoms, dtype=object),
+                      np.full(n_atoms, w.numerator, dtype=object),
+                      n_atoms, w.denominator, presorted=True)
     w = float(weight_total) / n_atoms
     return FiberMeasure(np.arange(n_atoms) / n_atoms, np.full(n_atoms, w),
-                        dimension=1, exact=False)
+                        exact=False)
 
 
 def rotation_orbit_fiber(p: int, q: int, exact: bool = True,
@@ -559,11 +517,16 @@ def rotation_orbit_fiber(p: int, q: int, exact: bool = True,
     if math.gcd(p, q) != 1:
         raise ValueError("p/q must be reduced")
     if exact:
+        # the orbit is the coset offset + (1/q)Z mod 1: over the common
+        # denominator den, the sorted positions start + j * den/q
         off = Fraction(offset)
-        pos = [_mod1(off + Fraction(j * p, q)) for j in range(q)]
-        return FiberMeasure(pos, [Fraction(1, q)] * q, dimension=1, exact=True)
+        den = math.lcm(q, off.denominator)
+        step = den // q
+        start = off.numerator * (den // off.denominator) % step
+        return _fiber(start + step * np.arange(q, dtype=object),
+                      np.ones(q, dtype=object), den, q, presorted=True)
     pos = (float(offset) + np.arange(q) * (p / q)) % 1.0
-    return FiberMeasure(pos, np.full(q, 1.0 / q), dimension=1, exact=False)
+    return FiberMeasure(pos, np.full(q, 1.0 / q), exact=False)
 
 
 def lebesgue_disintegration(n_cells: int, fiber_atoms: int,
@@ -748,15 +711,15 @@ def coarsen(fm: FiberMeasure, eps) -> FiberMeasure:
         e = Fraction(eps)
         if not 0 < e < 1:
             raise ValueError("eps must lie in (0, 1)")
-        new_pos = [tuple((c / e).__floor__() * e for c in p) for p in fm.positions]
-        return FiberMeasure(new_pos, fm.weights, dimension=fm.dimension, exact=True)
+        # floor(y / e) * e with y = n / q and e = a / b, over denominator b
+        a, b = e.numerator, e.denominator
+        return _fiber(fm.positions * b // (fm.q * a) * a, fm.weights, b, fm.r)
     e = float(eps)
     if not 0.0 < e < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if len(fm) == 0:
         return fm
-    snapped = np.floor(fm.positions / e) * e
-    return FiberMeasure(snapped, fm.weights, dimension=fm.dimension, exact=False)
+    return _fiber(np.floor(fm.positions / e) * e, fm.weights)
 
 
 def coarsen_disintegration(dis: Disintegration, eps) -> Disintegration:

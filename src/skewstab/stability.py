@@ -404,51 +404,47 @@ _EXACT_COS = {
 }
 
 
-def _cos_sum_exact(groups: dict):
-    """Sum of w * cos(2 pi phase) over exact phase groups, or None when
-    no exact route applies."""
-    if not groups:
+def _cos_sum_exact(res: np.ndarray, w: np.ndarray, q: int, r: int):
+    """Sum of (w / r) * cos(2 pi res / q) over phase groups (sorted
+    distinct residues res, weight numerators w), or None when no exact
+    route applies."""
+    L = len(res)
+    if L > 1 and (w == w[0]).all() and \
+            (L * (res - res[0]) == q * np.arange(L, dtype=object)).all():
+        # full coset of L-th roots of unity: cosines cancel exactly
         return Fraction(0)
-    L = len(groups)
-    weights = list(groups.values())
-    if L > 1 and all(w == weights[0] for w in weights):
-        base = min(groups)
-        if sorted(groups) == [base + Fraction(r, L) for r in range(L)]:
-            # full coset of L-th roots of unity: cosines cancel exactly
-            return Fraction(0)
-    if all(p in _EXACT_COS for p in groups):
-        return sum((w * _EXACT_COS[p] for p, w in groups.items()),
-                   Fraction(0))
+    # every tabulated phase has a denominator dividing 12
+    if (12 * res % q == 0).all():
+        cos = [_EXACT_COS.get(Fraction(x, q)) for x in res.tolist()]
+        if None not in cos:
+            return sum((c * x for c, x in zip(cos, w.tolist())),
+                       Fraction(0)) / r
     return None
 
 
 def _term_value(fm, freq: int, exact: bool):
     """integral of cos(2 pi freq y) against one fiber measure."""
     if exact:
-        groups: dict[Fraction, Fraction] = {}
-        dens = {p[0].denominator for p in fm.positions}
-        if len(dens) == 1:
-            # shared denominator: reduce phases with integer residues
-            b = dens.pop()
-            residues: dict[int, Fraction] = {}
-            for pos, w in zip(fm.positions, fm.weights):
-                r = (freq * pos[0].numerator) % b
-                residues[r] = residues.get(r, Fraction(0)) + w
-            groups = {Fraction(r, b): w for r, w in residues.items()}
-        else:
-            for pos, w in zip(fm.positions, fm.weights):
-                phase = (freq * pos[0]) % 1
-                groups[phase] = groups.get(phase, Fraction(0)) + w
-        val = _cos_sum_exact(groups)
+        if len(fm) == 0:
+            return Fraction(0)
+        # phases freq * y mod 1 as integer residues over q, grouped
+        q = fm.q
+        res = (freq % q) * fm.positions % q
+        order = np.argsort(res, kind="stable")
+        res = res[order]
+        starts = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
+        res, w = res[starts], np.add.reduceat(fm.weights[order], starts)
+        val = _cos_sum_exact(res, w, q, fm.r)
         if val is not None:
             return val
+        # int / int true division rounds correctly, like float(Fraction)
         return float(math.fsum(
-            float(w) * math.cos(2 * math.pi * float(p))
-            for p, w in groups.items()))
+            (x / fm.r) * math.cos(2 * math.pi * (p / q))
+            for p, x in zip(res.tolist(), w.tolist())))
     a = fm.to_float()
     if len(a) == 0:
         return 0.0
-    phase = np.mod(freq * a.positions[:, 0], 1.0)
+    phase = np.mod(freq * a.positions, 1.0)
     return float(np.dot(a.weights, np.cos(2 * np.pi * phase)))
 
 

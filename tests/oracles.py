@@ -1,8 +1,9 @@
 """Independent brute-force references used by the test suite.
 
-These are deliberately dumb: a dense-grid linear program for the capped
-Lipschitz dual norm, and direct definitional sums for oscillation and
-var_p.  They share no code paths with the library shortcuts they check.
+These are deliberately dumb: a dense-grid linear program and an all-pairs
+atom program for the capped Lipschitz dual norm, and direct definitional
+sums for oscillation and var_p.  They share no code paths with the library
+shortcuts they check.
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ def _literal_rows(nodes: int):
 
 
 def _node_weights(fm: FiberMeasure, nodes: int) -> np.ndarray:
-    if fm.dimension != 1:
-        raise ValueError("dense-grid oracle is one-dimensional")
     f = fm.to_float()
     c = np.zeros(nodes)
     if len(f) == 0:
         return c
     atoms = f.atoms()
-    pos = np.asarray([a[0][0] for a in atoms], dtype=float)
+    pos = np.asarray([a[0] for a in atoms], dtype=float)
     w = np.asarray([a[1] for a in atoms], dtype=float)
     np.add.at(c, np.round(pos * nodes).astype(int) % nodes, w)
     return c
@@ -108,6 +107,30 @@ def dense_grid_w1(fm: FiberMeasure, nodes: int = GRID_NODES,
     if formulation == "difference":
         return _solve_difference(c, nodes)
     raise ValueError(f"unknown formulation {formulation!r}")
+
+
+def pairwise_lp_w1(fm: FiberMeasure) -> float:
+    """Capped-Lipschitz dual norm by scipy LP over the atoms themselves,
+    with a Lipschitz constraint for every pair of atoms (no adjacency
+    shortcut): max sum w_i g_i, |g_i| <= 1, |g_i - g_j| <= d(y_i, y_j)."""
+    atoms = fm.to_float().atoms()
+    n = len(atoms)
+    if n == 0:
+        return 0.0
+    pos = np.asarray([p for p, _ in atoms], dtype=float)
+    w = np.asarray([x for _, x in atoms], dtype=float)
+    i, j = np.triu_indices(n, 1)
+    d = np.abs(pos[i] - pos[j])
+    d = np.minimum(d, 1.0 - d)
+    rows = np.zeros((len(i), n))
+    rows[np.arange(len(i)), i] = 1.0
+    rows[np.arange(len(i)), j] = -1.0
+    res = linprog(-w, A_ub=np.vstack([rows, -rows]),
+                  b_ub=np.concatenate([d, d]), bounds=(-1.0, 1.0),
+                  method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"oracle LP failed: {res.message}")
+    return float(-res.fun)
 
 
 def oscillation_direct(dis: Disintegration, i: int, r: float) -> float:

@@ -74,13 +74,38 @@ def test_norm_lebesgue(doubling_path, tmp_path, capsys):
     '{"n_cells": 2, "dimension": 1, "fibers": [[[[NaN], 0.5]], [[[0.5], 0.5]]]}',
     '{"n_cells": 2, "dimension": 1, '
     '"fibers": [[[[0.25], Infinity]], [[[0.5], 0.5]]]}',
-], ids=["fibers-not-list", "n-cells-list", "nan-position", "inf-weight"])
+    '{"n_cells": 1, "dimension": 2, "fibers": [[[[0.5, 0.5], 1.0]]]}',
+], ids=["fibers-not-list", "n-cells-list", "nan-position", "inf-weight",
+        "dimension-2"])
 def test_norm_rejects_malformed_measure(doubling_path, tmp_path, capsys, text):
     m = tmp_path / "bad.json"
     m.write_text(text)
     assert main(["norm", "--config", doubling_path, "--measure", str(m)]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"base": {"kind": "linear", "l": [2]}}, "l must be a positive integer"),
+    ({"base": {"kind": "linear", "l": 2.5}}, "l must be a positive integer"),
+    ({"fiber": {"kind": "deformation", "delta": "0.001", "orbit_k": [4]}},
+     "orbit_k must be a positive integer"),
+    ({"fiber": {"kind": "translation", "theta": "golden", "indicator": 5}},
+     "indicator must be a list"),
+    ({"constants": {"ly_base": 5}}, "ly_base must be a list"),
+    ({"constants": {"ly_base": ["NaN", 1]}}, "NaN"),
+], ids=["l-list", "l-fraction", "orbit-k-list", "indicator-int",
+        "ly-base-int", "ly-base-nan"])
+def test_norm_rejects_malformed_system(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(DOUBLING_DOC, **doc)))
+    m = tmp_path / "lebesgue.json"
+    m.write_text(json.dumps(
+        {"builtin": "lebesgue", "n_cells": 4, "fiber_atoms": 4}))
+    assert main(["norm", "--config", str(cfg), "--measure", str(m)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and message in captured.err
     assert captured.out == ""
 
 

@@ -147,9 +147,9 @@ def test_measure_builtin_and_errors():
         load_measure(dict(doc, builtin="gauss"))
     with pytest.raises(ValueError, match="fibers"):
         load_measure({"n_cells": 3, "dimension": 1, "fibers": [[]]})
-    with pytest.raises(ValueError, match="coordinates"):
-        load_measure({"n_cells": 1, "dimension": 2,
-                      "fibers": [[[["0.5"], "1"]]]})
+    with pytest.raises(ValueError, match="1 coordinate"):
+        load_measure({"n_cells": 1, "dimension": 1,
+                      "fibers": [[[["0.5", "0.5"], "1"]]]})
 
 
 # ---------------------------------------------------------------- families

@@ -72,7 +72,7 @@ def test_point_mass_pushforward():
     out = transfer_step(doubling_system(), dis, eps_f=0)
     theta = float(GOLDEN.value)
     for fib in out.fibers:
-        atoms = dict((p[0], w) for p, w in fib.atoms())
+        atoms = dict(fib.atoms())
         assert len(atoms) == 2
         assert atoms[y] == pytest.approx(0.25)
         assert min(abs(p - (y + theta) % 1.0) for p in atoms) < 1e-12

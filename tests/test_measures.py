@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dense_grid_w1, oscillation_direct, var_p_direct
+from oracles import dense_grid_w1, oscillation_direct, pairwise_lp_w1, var_p_direct
 from skewstab.batteries import (
     positive_disintegrations,
     signed_disintegrations,
@@ -56,7 +56,7 @@ def test_w1_dipole_values():
 
 
 def test_w1_empty():
-    assert w1_norm(FiberMeasure([], [], dimension=1)) == 0.0
+    assert w1_norm(FiberMeasure([], [])) == 0.0
 
 
 def test_w1_dipoles_match_dense_grid_oracle():
@@ -102,7 +102,7 @@ def test_w1_bounded_by_total_variation():
 def test_w1_adjacent_equals_full_pairwise_200_trials():
     for i, fm in enumerate(signed_fiber_measures(31, 200)):
         assert w1_norm(fm, method="lp") == pytest.approx(
-            w1_norm(fm, method="lp_full"), abs=1e-9), f"case {i}"
+            pairwise_lp_w1(fm), abs=1e-9), f"case {i}"
 
 
 def test_w1_balanced_median_equals_lp():
@@ -133,13 +133,6 @@ def test_w1_uniform_minus_orbit_closed_form():
                    - uniform_fiber(4, exact=True)) == F(1, 16)
     assert w1_norm(uniform_fiber(2048, exact=True)
                    - rotation_orbit_fiber(1, 16)) == F(1, 64)
-
-
-def test_w1_two_dimensional_dipole():
-    fm = FiberMeasure([[0.0, 0.0], [0.3, 0.4]], [1.0, -1.0])
-    assert w1_norm(fm) == pytest.approx(0.5, abs=1e-9)
-    fm = FiberMeasure([[0.1, 0.1], [0.1, 0.1]], [1.0, 2.0])
-    assert w1_norm(fm) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_duplicate_atoms_merge_and_tiny_weights_drop():
@@ -179,7 +172,7 @@ def test_l1_lebesgue_probability():
 
 
 def test_l1_zero_measure():
-    zero = FiberMeasure([], [], dimension=1)
+    zero = FiberMeasure([], [])
     assert l1_norm(Disintegration([zero] * 8, n_cells=8)) == 0.0
 
 
@@ -287,7 +280,7 @@ def test_pbv_lebesgue():
 
 
 def test_pbv_zero():
-    zero = FiberMeasure([], [], dimension=1)
+    zero = FiberMeasure([], [])
     rep = pbv_norm(Disintegration([zero] * 4, n_cells=4), 1.0, 0.5)
     assert (rep.l1, rep.var_p, rep.pbv) == (0.0, 0.0, 0.0)
 
@@ -314,7 +307,7 @@ def test_pbv_dominates_l1_and_fiber_sup():
 def test_pbv_fiber_sup_bound_on_spike():
     n = 64
     spike = [FiberMeasure([[0.25]], [1.0])] + \
-        [FiberMeasure([], [], dimension=1)] * (n - 1)
+        [FiberMeasure([], [])] * (n - 1)
     dis = Disintegration(spike, n_cells=n)
     for p in (1.0, 0.5):
         rep = pbv_norm(dis, p, 0.5)
@@ -333,7 +326,7 @@ def test_marginal_lebesgue():
 def test_marginal_half_support():
     n = 16
     atom = FiberMeasure([[0.3]], [2.0 / n])
-    empty = FiberMeasure([], [], dimension=1)
+    empty = FiberMeasure([], [])
     dis = Disintegration([atom] * (n // 2) + [empty] * (n // 2), n_cells=n)
     md = marginal_density(dis)
     assert md.values[: n // 2] == pytest.approx(np.full(n // 2, 2.0))
@@ -389,9 +382,6 @@ def test_pc_approx_mass_and_errors():
 
 def test_disintegration_validation():
     fm1 = FiberMeasure([[0.1]], [1.0])
-    fm2 = FiberMeasure([[0.1, 0.2]], [1.0], dimension=2)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        Disintegration([fm1, fm2], n_cells=2)
     with pytest.raises(ValueError, match="fiber count"):
         Disintegration([fm1], n_cells=2)
 
@@ -478,7 +468,7 @@ atom_lists = st.integers(1, 5).flatmap(
 
 def _build(t) -> FiberMeasure:
     pos, w = t
-    return FiberMeasure([[x] for x in pos], w, dimension=1)
+    return FiberMeasure([[x] for x in pos], w)
 
 
 @given(atom_lists, atom_lists)

@@ -1,0 +1,53 @@
+"""The benchmark's traced mode keeps working against the library.
+
+perfbench/spans.py rebinds skewstab functions by name, among them
+measures.solve_simplex, so a refactor of src/ that renames or removes one
+of them breaks traced benchmark runs.  This starts a fresh interpreter
+with PYTHONPATH=src:perfbench, installs the tracer and traces a tiny
+l1_norm on an exact and a float measure.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+from skewstab.measures import (FiberMeasure, l1_norm,
+    lebesgue_disintegration, product_disintegration, uniform_fiber)
+exact = (lebesgue_disintegration(4, 8, exact=True)
+         - product_disintegration(4, uniform_fiber(2, exact=True)))
+signed = product_disintegration(4, FiberMeasure([0.0, 0.25], [1.0, -0.5]))
+tracer.active = True
+values = [str(l1_norm(exact)), l1_norm(signed)]
+exact.fiber_ids()
+tracer.active = False
+print(json.dumps({"values": values, "layers": tracer.summary()}))
+"""
+
+
+def test_traced_l1_norm_under_perfbench_spans():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    run = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(run.stdout.splitlines()[-1])
+    exact, signed = doc["values"]
+    # 1/(4k) with k = 2; delta_0 - delta_{1/4}/2 has norm 1 - 0.75/2
+    assert exact == "1/8"
+    assert signed == pytest.approx(0.625, abs=1e-12)
+    layers = doc["layers"]
+    assert layers["measures.l1_norm.calls"] == 2
+    assert layers["measures.w1_norm.calls"] == 2
+    assert layers["measures.Disintegration.fiber_ids.calls"] == 1
+    assert layers["measures.solve_simplex.calls"] == 1
