@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -137,27 +136,13 @@ def _cmd_decay(args) -> int:
     return 0
 
 
-def _fill_invariants(job):
-    """Precompute missing perturbed invariants, in family order."""
-    opts = job.pipeline or {}
-    filled = []
-    for ps in job.family:
-        if ps.invariant_distance is None and ps.perturbed_invariant is None:
-            res = invariant_measure(ps.perturbed, **opts)
-            if res.converged:
-                ps = replace(ps, perturbed_invariant=res.measure)
-        filled.append(ps)
-    return filled
-
-
 def _cmd_sweep(args) -> int:
     config = read_json(args.config)
     job = load_family(config)
     gamma = args.gamma if args.gamma is not None else job.gamma
     gamma_prime = args.gamma_prime if args.gamma_prime is not None \
         else job.gamma_prime
-    family = _fill_invariants(job)
-    table = stability_sweep(family, gamma, gamma_prime=gamma_prime,
+    table = stability_sweep(job.family, gamma, gamma_prime=gamma_prime,
                             pipeline=job.pipeline)
     out = _resolve_out(args, args.out)
     _write_csv(out, ["delta", "distance", "lower_bound", "upper_bound_fit"],

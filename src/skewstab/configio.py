@@ -354,15 +354,29 @@ def _load_pipeline(doc: dict) -> dict:
     out = dict(doc)
     for k in ("n_cells", "fiber_atoms", "n_max"):
         if k in out:
-            out[k] = int(out[k])
+            out[k] = _positive_int(out, k, "pipeline")
     for k in ("tol", "eps_f"):
         if k in out:
             out[k] = float(_parse_scalar(out[k]))
     return out
 
 
+def _list(doc: dict, key: str) -> list:
+    if not isinstance(doc[key], list):
+        raise ValueError(f"family: {key} must be a list, got {doc[key]!r}")
+    return doc[key]
+
+
+def _sweep_job(doc: dict, family: list) -> SweepJob:
+    return SweepJob(family, float(_parse_scalar(doc["gamma"])),
+                    float(_parse_scalar(doc["gamma_prime"]))
+                    if "gamma_prime" in doc else None,
+                    _load_pipeline(doc["pipeline"])
+                    if "pipeline" in doc else None)
+
+
 def load_family(doc: dict) -> SweepJob:
-    kind = doc.get("kind")
+    kind = _kind(doc, "family")
     if kind == "prop-bahh":
         _require(doc, {"kind", "theta", "js", "gamma"},
                  {"gamma_prime", "deformation_scale", "n_cells", "pipeline"},
@@ -370,16 +384,14 @@ def load_family(doc: dict) -> SweepJob:
         theta = parse_angle(doc["theta"])
         kw = {}
         if "deformation_scale" in doc:
-            kw["deformation_scale"] = float(doc["deformation_scale"])
+            kw["deformation_scale"] = float(
+                _parse_scalar(doc["deformation_scale"]))
         if "n_cells" in doc:
-            kw["n_cells"] = int(doc["n_cells"])
-        fam = [prop_bahh_system(theta, int(j), **kw).pspec
-               for j in doc["js"]]
-        return SweepJob(fam, float(doc["gamma"]),
-                        float(doc["gamma_prime"])
-                        if "gamma_prime" in doc else None,
-                        _load_pipeline(doc["pipeline"])
-                        if "pipeline" in doc else None)
+            kw["n_cells"] = _positive_int(doc, "n_cells", "family")
+        js = [_positive_int({"j": j}, "j", "family js")
+              for j in _list(doc, "js")]
+        return _sweep_job(doc, [prop_bahh_system(theta, j, **kw).pspec
+                                for j in js])
     if kind == "translation-ladder":
         _require(doc, {"kind", "system", "deltas", "gamma"},
                  {"gamma_prime", "pipeline"}, "family")
@@ -387,7 +399,7 @@ def load_family(doc: dict) -> SweepJob:
         if ref.fiber.kind != "translation":
             raise ValueError("translation-ladder needs a translation fiber")
         family = []
-        for raw in doc["deltas"]:
+        for raw in _list(doc, "deltas"):
             delta = _parse_scalar(raw)
             shifted = Fraction(delta) + Fraction(ref.fiber.theta) \
                 if isinstance(delta, (Fraction, int)) and \
@@ -402,11 +414,7 @@ def load_family(doc: dict) -> SweepJob:
             size = abs(float(delta))
             family.append(PerturbationSpec(ref, pert, size,
                                            fiber_displacement=size))
-        return SweepJob(family, float(doc["gamma"]),
-                        float(doc["gamma_prime"])
-                        if "gamma_prime" in doc else None,
-                        _load_pipeline(doc["pipeline"])
-                        if "pipeline" in doc else None)
+        return _sweep_job(doc, family)
     raise ValueError(f"unknown family kind {kind!r}")
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "linear_base",
     "precomposed_base",
     "OrbitBump",
-    "FiberMap",
     "FiberMapFamily",
     "translation_family",
     "identity_family",
@@ -84,9 +84,6 @@ class SineShift:
                 break
         return x
 
-    def sup_identity_distance(self) -> float:
-        return abs(self.amplitude) / (2 * np.pi)
-
 
 @dataclass(frozen=True)
 class BaseMap:
@@ -133,51 +130,63 @@ class BaseMap:
                 f"grid/branch mismatch: n_cells = {n_cells} is not a power "
                 f"of the branch count {self.branch_count}")
 
-    def source_cells(self, n_cells: int, k: int):
-        """(source cell, mass fraction of that cell) pairs feeding
-        output cell k; fractions are exact for linear branches."""
-        if self.sigma is None:
-            return _linear_sources(self.branch_count, n_cells)[k]
-        return _sigma_pieces(self, n_cells)[k]
-
     def transfer_density(self, values: np.ndarray) -> np.ndarray:
         """One step of the induced 1D transfer on piecewise-constant
         densities."""
+        values = np.asarray(values, dtype=float)
         n = len(values)
         self.check_grid(n)
-        out = np.zeros(n)
-        for k in range(n):
-            for c, w in self.source_cells(n, k):
-                out[k] += values[c] * float(w)
-        return out
+        t = _pieces(self, n)
+        weights = values[t.src] * np.array(t.fracs, dtype=float)[t.code]
+        return np.bincount(t.out, weights=weights, minlength=n)
+
+
+class _Pieces(NamedTuple):
+    """The base map's action on the N-cell grid, one row per piece: the
+    fraction fracs[code] of the mass of source cell src lands in output
+    cell out.  Rows are ordered by output cell, then branch, then source
+    cell from left to right; cell k's rows are start[k]:start[k + 1]."""
+
+    out: np.ndarray
+    src: np.ndarray
+    code: np.ndarray
+    fracs: tuple
+    start: np.ndarray
 
 
 @lru_cache(maxsize=64)
-def _linear_sources(l: int, n: int):
-    w = Fraction(1, l)
-    return tuple(tuple(((k + j * n) // l, w) for j in range(l))
-                 for k in range(n))
-
-
-@lru_cache(maxsize=32)
-def _sigma_pieces(base: BaseMap, n_cells: int):
-    """Per output cell: (source cell, cell-mass fraction) pieces under
-    x -> l sigma(x) mod 1, split at source-grid boundaries; the fraction
-    is n * (preimage length), which encodes 1/|T'| exactly."""
-    l, n = base.branch_count, n_cells
-    grid = np.arange(l * n + 1) / (l * n)
-    xs = base.sigma.inverse(grid)
-    xs[0], xs[-1] = 0.0, 1.0
-    pieces: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for j in range(l):
-        for k in range(n):
-            x0, x1 = xs[j * n + k], xs[j * n + k + 1]
-            c0, c1 = int(x0 * n), min(int(x1 * n), n - 1)
-            cuts = [x0] + [c / n for c in range(c0 + 1, c1 + 1)] + [x1]
-            for c, (a, b) in zip(range(c0, c1 + 1), zip(cuts, cuts[1:])):
-                if b > a:
-                    pieces[k].append((c, (b - a) * n))
-    return tuple(tuple(p) for p in pieces)
+def _pieces(base: BaseMap, n: int) -> _Pieces:
+    l = base.branch_count
+    if base.sigma is None:
+        # output cell k takes the exact fraction 1/l of each source cell
+        # (k + j n) // l
+        out = np.repeat(np.arange(n), l)
+        src = (out + n * np.tile(np.arange(l), n)) // l
+        code, fracs = np.zeros(len(out), dtype=np.int64), (Fraction(1, l),)
+    else:
+        # preimage i = j n + k of output cell k under branch j, split at
+        # source-grid boundaries; the fraction n * (piece length) encodes
+        # 1/|T'| exactly
+        xs = base.sigma.inverse(np.arange(l * n + 1) / (l * n))
+        xs[0], xs[-1] = 0.0, 1.0
+        x0, x1 = xs[:-1], xs[1:]
+        c0 = (x0 * n).astype(np.int64)
+        c1 = np.minimum((x1 * n).astype(np.int64), n - 1)
+        count = np.maximum(c1 - c0 + 1, 0)
+        i = np.repeat(np.arange(l * n), count)
+        c = c0[i] + np.arange(len(i)) - np.repeat(np.cumsum(count) - count,
+                                                  count)
+        a = np.where(c == c0[i], x0[i], c / n)
+        b = np.where(c == c1[i], x1[i], (c + 1) / n)
+        keep = b > a
+        order = np.argsort(i[keep] % n, kind="stable")
+        out, src = (i[keep] % n)[order], c[keep][order]
+        fracs, code = np.unique((b - a)[keep][order] * n, return_inverse=True)
+        fracs = tuple(fracs.tolist())
+    start = np.searchsorted(out, np.arange(n + 1))
+    for arr in (out, src, code, start):
+        arr.flags.writeable = False
+    return _Pieces(out, src, code, fracs, start)
 
 
 def linear_base(l: int) -> BaseMap:
@@ -273,22 +282,6 @@ class OrbitBump:
 
 
 @dataclass(frozen=True)
-class FiberMap:
-    """Concrete circle map: rotation by `shift` followed by an optional
-    deformation."""
-
-    shift: object = 0
-    bump: OrbitBump | None = None
-
-    def apply(self, fm: FiberMeasure) -> FiberMeasure:
-        out = fm if self.shift == 0 else fm.translate(self.shift)
-        if self.bump is not None and self.bump.strength != 0:
-            if not self.bump.fixes(out):
-                out = out.apply_map(self.bump)
-        return out
-
-
-@dataclass(frozen=True)
 class FiberMapFamily:
     """x-dependent fiber maps G(x, .): a rotation applied on the
     indicator set, followed by an x-independent deformation."""
@@ -317,9 +310,15 @@ class FiberMapFamily:
         return 2 * jumps * self.alpha * self.rotation_distance() \
             * self.A ** (1.0 - p)
 
-    def map_for(self, member: bool) -> FiberMap:
-        shift = self.theta if member else 0
-        return FiberMap(shift=shift, bump=self.bump)
+    def push(self, fm: FiberMeasure, member) -> FiberMeasure:
+        """Pushforward of a fiber by G(x, .) for x inside (member true) or
+        outside the indicator set: the rotation by theta on the indicator
+        set, then the deformation."""
+        out = fm.translate(self.theta) if member and self.theta != 0 else fm
+        if self.bump is not None and self.bump.strength != 0 \
+                and not self.bump.fixes(out):
+            out = out.apply_map(self.bump)
+        return out
 
     def indicator_member(self, cell: int, n_cells: int) -> bool:
         lo, hi = Fraction(cell, n_cells), Fraction(cell + 1, n_cells)
@@ -334,8 +333,11 @@ class FiberMapFamily:
 
 
 @lru_cache(maxsize=128)
-def _membership(fam: FiberMapFamily, n_cells: int) -> tuple[bool, ...]:
-    return tuple(fam.indicator_member(c, n_cells) for c in range(n_cells))
+def _membership(fam: FiberMapFamily, n_cells: int) -> np.ndarray:
+    flags = np.array([fam.indicator_member(c, n_cells)
+                      for c in range(n_cells)], dtype=np.int64)
+    flags.flags.writeable = False
+    return flags
 
 
 def _angle_value(theta):
@@ -438,41 +440,35 @@ def _default_eps(n_cells: int) -> float:
 
 def transfer_step(sys: SkewSystem, dis: Disintegration,
                   eps_f: float | None = None) -> Disintegration:
-    """One application of the transfer operator on the grid."""
+    """One application of the transfer operator on the grid: output cell k
+    sums its pieces' source fibers, each pushed by its source cell's fiber
+    map and scaled by the piece's fraction.  Cells whose rows of (source
+    fiber id, indicator flag, fraction code) are equal share one
+    combination."""
     n = dis.n_cells
     sys.base.check_grid(n)
     if eps_f is None:
         eps_f = _default_eps(n)
-    ids, table = dis.ids, dis.table
-    member = _membership(sys.fiber, n)
-    if sys.base.sigma is None:
-        # output cell k takes the fraction 1/l of each source cell
-        # (k + j n) // l, so cells whose sources carry equal fibers and
-        # flags share one combination
-        l = sys.base.branch_count
-        src = (np.arange(n)[:, None] + n * np.arange(l)) // l
-        _, first, out_ids = np.unique((ids * 2 + np.array(member))[src],
-                                      axis=0, return_index=True,
-                                      return_inverse=True)
-    else:
-        # fractions differ from cell to cell: one combination per cell
-        first = out_ids = np.arange(n)
+    t = _pieces(sys.base, n)
+    key = dis.ids[t.src] * 2 + _membership(sys.fiber, n)[t.src]
+    slot = np.arange(len(t.out)) - t.start[t.out]
+    rows = np.full((n, 2 * int(slot.max()) + 2), -1, dtype=np.int64)
+    rows[t.out, 2 * slot] = key
+    rows[t.out, 2 * slot + 1] = t.code
+    _, first, out_ids = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
 
-    mapped: dict[tuple[int, bool], FiberMeasure] = {}
-
-    def push(fid: int, flag: bool) -> FiberMeasure:
-        key = (fid, flag)
-        if key not in mapped:
-            mapped[key] = sys.fiber.map_for(flag).apply(table[fid])
-        return mapped[key]
-
+    pushed: dict[int, FiberMeasure] = {}
+    key, code, start = key.tolist(), t.code.tolist(), t.start.tolist()
     combos = []
     for k in first.tolist():
-        parts = [push(int(ids[c]), member[c]).scale(w)
-                 for c, w in sys.base.source_cells(n, k)]
-        fib = parts[0]
-        for extra in parts[1:]:
-            fib = fib + extra
+        fib = None
+        for i in range(start[k], start[k + 1]):
+            if key[i] not in pushed:
+                pushed[key[i]] = sys.fiber.push(dis.table[key[i] >> 1],
+                                                key[i] & 1)
+            part = pushed[key[i]].scale(t.fracs[code[i]])
+            fib = part if fib is None else fib + part
         if eps_f:
             fib = coarsen(fib, eps_f)
         combos.append(fib)

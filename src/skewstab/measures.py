@@ -40,7 +40,6 @@ __all__ = [
     "var_p",
     "pbv_norm",
     "marginal_density",
-    "pushforward_fiber",
     "coarsen",
     "coarsen_disintegration",
     "piecewise_constant_approx",
@@ -162,10 +161,6 @@ class FiberMeasure:
     # -- basic queries ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.weights)
-
-    @property
-    def n_atoms(self) -> int:
         return len(self.weights)
 
     def mass(self):
@@ -431,20 +426,14 @@ class Disintegration:
         """True when every fiber has identical content (x-constant measure)."""
         return len(self.table) == 1
 
-    def _cell_sum(self, per_fiber):
+    def mass(self):
         # exactly rounded sum over cells, as if summed cell by cell
+        masses = [f.mass() for f in self.table]
         if self.exact:
             counts = np.bincount(self.ids, minlength=len(self.table))
-            return sum((v * int(c) for v, c in zip(per_fiber, counts)),
+            return sum((v * int(c) for v, c in zip(masses, counts)),
                        Fraction(0))
-        vals = np.array([float(v) for v in per_fiber])
-        return float(math.fsum(vals[self.ids]))
-
-    def mass(self):
-        return self._cell_sum([f.mass() for f in self.table])
-
-    def total_weight_abs(self):
-        return self._cell_sum([f.abs_mass() for f in self.table])
+        return float(math.fsum(np.array(masses, dtype=float)[self.ids]))
 
     def fiber_ids(self) -> tuple[np.ndarray, tuple[FiberMeasure, ...]]:
         """(id per cell, distinct fibers), numbered by first appearance."""
@@ -688,16 +677,6 @@ def marginal_density(dis: Disintegration) -> MarginalDensity:
 # --------------------------------------------------------------------------
 # coarsening and block averaging
 # --------------------------------------------------------------------------
-
-
-def pushforward_fiber(fm: FiberMeasure, f) -> FiberMeasure:
-    """Pushforward of an atom measure by a circle map.
-
-    f may expose .apply(FiberMeasure) (structured maps keep exactness
-    where they can) or be a plain vectorized callable on positions."""
-    if hasattr(f, "apply"):
-        return f.apply(fm)
-    return fm.apply_map(f)
 
 
 def coarsen(fm: FiberMeasure, eps) -> FiberMeasure:

@@ -148,6 +148,25 @@ def test_sweep_artifacts(tmp_path):
     assert meta["results"]["upper_ok"] == [False, True]
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"js": 5}, "js must be a list"),
+    ({"gamma": [3]}, "expected number"),
+    ({"deformation_scale": [4]}, "expected number"),
+    ({"pipeline": {"n_max": [3]}}, "n_max must be a positive integer"),
+    ({"js": [1.5]}, "j must be a positive integer"),
+    ({"n_cells": 2.5}, "n_cells must be a positive integer"),
+], ids=["js-int", "gamma-list", "deformation-scale-list", "n-max-list",
+        "j-fraction", "n-cells-fraction"])
+def test_sweep_rejects_malformed_family(tmp_path, capsys, doc, message):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(dict(BAHH_FAMILY, **doc)))
+    assert main(["sweep", "--config", str(p), "--out-dir", str(tmp_path),
+                 "--out", "sweep.csv"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and message in captured.err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_invariant_exit_codes(tmp_path):
     p = tmp_path / "precomposed.json"
     p.write_text(json.dumps({

@@ -33,6 +33,7 @@ from skewstab.dynamics import (
     transfer_step,
     translation_family,
 )
+from skewstab.dynamics import _pieces
 from skewstab.measures import (
     FiberMeasure,
     l1_norm,
@@ -151,6 +152,67 @@ def test_sigma_base_transfer_conserves_mass():
         m1 = marginal_density(out).values
         m0 = base.transfer_density(marginal_density(dis).values)
         assert np.max(np.abs(m1 - m0)) < 1e-11
+
+
+PIECE_CASES = [(linear_base(2), 64), (linear_base(2), 128),
+               (precomposed_base(2, SineShift(0.01)), 64),
+               (precomposed_base(2, SineShift(0.01)), 128),
+               (linear_base(3), 81), (precomposed_base(3, SineShift(0.3)), 81)]
+
+
+def _sigma_pieces_reference(base: BaseMap, n: int) -> list:
+    """Per output cell, its (source cell, fraction) pieces from a loop
+    over branches, output cells and the source-grid cut points inside
+    each preimage interval."""
+    l = base.branch_count
+    xs = base.sigma.inverse(np.arange(l * n + 1) / (l * n))
+    xs[0], xs[-1] = 0.0, 1.0
+    out = [[] for _ in range(n)]
+    for j in range(l):
+        for k in range(n):
+            x0, x1 = xs[j * n + k], xs[j * n + k + 1]
+            c0, c1 = int(x0 * n), min(int(x1 * n), n - 1)
+            cuts = [x0] + [c / n for c in range(c0 + 1, c1 + 1)] + [x1]
+            for c in range(c0, c1 + 1):
+                a, b = cuts[c - c0], cuts[c - c0 + 1]
+                if b > a:
+                    out[k].append((c, (b - a) * n))
+    return out
+
+
+@pytest.mark.parametrize("base, n", PIECE_CASES)
+def test_piece_table(base, n):
+    t = _pieces(base, n)
+    fracs = np.array(t.fracs, dtype=float)[t.code]
+    # every source cell hands out all of its mass
+    leaving = np.bincount(t.src, weights=fracs, minlength=n)
+    assert np.max(np.abs(leaving - 1.0)) <= 1e-12
+    # output cell k receives n times the length of its preimage
+    l = base.branch_count
+    edges = (np.arange(n)[:, None] + n * np.arange(l)) / (l * n)
+    inv = (lambda x: x) if base.sigma is None else base.sigma.inverse
+    length = (inv(edges + 1 / (l * n)) - inv(edges)).sum(axis=1)
+    entering = np.bincount(t.out, weights=fracs, minlength=n)
+    assert np.max(np.abs(entering - n * length)) <= 1e-12
+    assert np.array_equal(t.out, np.sort(t.out))
+    if base.sigma is not None:
+        reference = _sigma_pieces_reference(base, n)
+    for k in range(n):
+        rows = range(t.start[k], t.start[k + 1])
+        assert all(t.out[i] == k for i in rows)
+        got = [(int(t.src[i]), t.fracs[t.code[i]]) for i in rows]
+        if base.sigma is None:
+            assert got == [((k + j * n) // l, Fraction(1, l))
+                           for j in range(l)]
+            assert all(type(w) is Fraction for _, w in got)
+        else:
+            assert got == reference[k]
+    values = np.random.default_rng(n).random(n)
+    want = np.zeros(n)
+    for k in range(n):
+        for i in range(t.start[k], t.start[k + 1]):
+            want[k] += values[t.src[i]] * float(t.fracs[t.code[i]])
+    assert want.tobytes() == base.transfer_density(values).tobytes()
 
 
 def test_sigma_constants():

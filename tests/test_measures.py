@@ -21,6 +21,7 @@ from skewstab.dynamics import (
     transfer_step,
     translation_family,
 )
+from skewstab.dynamics import _pieces
 from skewstab.measures import (
     Disintegration,
     FiberMeasure,
@@ -137,7 +138,7 @@ def test_w1_uniform_minus_orbit_closed_form():
 
 def test_duplicate_atoms_merge_and_tiny_weights_drop():
     fm = FiberMeasure([[0.2], [0.2], [0.7]], [0.5, 0.5, 1e-16])
-    assert fm.n_atoms == 1
+    assert len(fm) == 1
     assert fm.mass() == pytest.approx(1.0)
 
 
@@ -145,7 +146,7 @@ def test_duplicate_atoms_merge_and_tiny_weights_drop():
 
 def test_coarsen_merges_within_bin():
     fm = coarsen(FiberMeasure([[0.101], [0.102]], [1.0, 1.0]), 0.01)
-    assert fm.n_atoms == 1
+    assert len(fm) == 1
     assert fm.mass() == pytest.approx(2.0)
 
 
@@ -417,14 +418,16 @@ def _block_average_reference(dis: Disintegration, m: int) -> list:
 def _transfer_reference(sys: SkewSystem, dis: Disintegration,
                         eps_f: float) -> list:
     n = dis.n_cells
+    t = _pieces(sys.base, n)
     out = []
     for k in range(n):
-        parts = [sys.fiber.map_for(sys.fiber.indicator_member(c, n))
-                 .apply(dis.fibers[c]).scale(w)
-                 for c, w in sys.base.source_cells(n, k)]
-        fib = parts[0]
-        for extra in parts[1:]:
-            fib = fib + extra
+        fib = None
+        for i in np.flatnonzero(t.out == k).tolist():
+            c = int(t.src[i])
+            part = sys.fiber.push(dis.fibers[c],
+                                  sys.fiber.indicator_member(c, n))
+            part = part.scale(t.fracs[t.code[i]])
+            fib = part if fib is None else fib + part
         out.append(coarsen(fib, eps_f))
     return out
 
