@@ -242,10 +242,7 @@ def _cmd_diophantine(args) -> int:
 def _cmd_norm(args) -> int:
     config = read_json(args.config)
     system = load_system(config)
-    doc_m = read_json(args.measure)
-    if args.exact and doc_m.get("builtin"):
-        doc_m = dict(doc_m, exact=True)
-    dis = load_measure(doc_m)
+    dis = load_measure(read_json(args.measure))
     report = pbv_norm(dis, p=args.p, A=system.fiber.A)
     _print_json({"l1": report.l1, "var_p": report.var_p,
                  "pbv": report.pbv, "p": report.p, "A": report.A})
@@ -298,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for relative output paths")
     common.add_argument("--allow-partial", action="store_true",
                         help="exit 0 on non-convergence, flagged in meta")
-    common.add_argument("--exact", action="store_true",
-                        help="force rational arithmetic where supported")
 
     ap = argparse.ArgumentParser(
         prog="skewstab",

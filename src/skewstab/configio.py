@@ -127,12 +127,6 @@ def parse_angle(spec: str) -> AngleSpec:
     return decimal_angle(text, digits=max(frac_digits, 6))
 
 
-def _angle_to_text(theta) -> str:
-    if isinstance(theta, AngleSpec):
-        theta = theta.value
-    return str(_format_scalar(theta))
-
-
 # ------------------------------------------------------------------ system
 
 def _kind(doc, where: str):
@@ -230,10 +224,9 @@ def load_system(doc: dict) -> SkewSystem:
     return SkewSystem(base, fiber, ly_base=ly)
 
 
-def system_diagnostics(doc: dict, n_cells: int | None = None,
-                       p: float = 1.0) -> list[str]:
-    """Declared-constant and compatibility checks; collects messages
-    instead of raising."""
+def system_diagnostics(doc: dict, n_cells: int | None = None) -> list[str]:
+    """Declared-constant (H_hat at p = 1) and compatibility checks;
+    collects messages instead of raising."""
     try:
         sys = load_system(doc)
     except ValueError as e:
@@ -241,7 +234,7 @@ def system_diagnostics(doc: dict, n_cells: int | None = None,
     out = sys.diagnostics(n_cells)
     declared = doc.get("constants", {})
     computed = {"alpha": sys.fiber.alpha, "A": sys.fiber.A,
-                "xi": sys.base.xi, "H_hat": sys.fiber.h_hat(p)}
+                "xi": sys.base.xi, "H_hat": sys.fiber.h_hat(1.0)}
     for key, have in computed.items():
         if key in declared:
             want = float(_parse_scalar(declared[key]))
@@ -257,29 +250,6 @@ def system_diagnostics(doc: dict, n_cells: int | None = None,
             out.append(f"theta precision ({digits} decimal digits) may be "
                        f"insufficient for fine grids")
     return out
-
-
-def save_system(sys: SkewSystem) -> dict:
-    base: dict = {"kind": sys.base.kind, "l": sys.base.branch_count}
-    if sys.base.sigma is not None:
-        base["sigma"] = {"kind": "sine",
-                         "amplitude": sys.base.sigma.amplitude}
-    fam = sys.fiber
-    fiber: dict = {"kind": fam.kind}
-    if fam.kind in ("translation", "composite"):
-        fiber["theta"] = _angle_to_text(fam.theta)
-        fiber["indicator"] = [[_format_scalar(a), _format_scalar(b)]
-                              for a, b in fam.indicator]
-    if fam.bump is not None:
-        fiber["orbit_k"] = fam.bump.orbit_k
-        fiber["delta"] = fam.bump.strength
-        fiber["scale"] = 1
-    if fam.A != 0.5:
-        fiber["A"] = fam.A
-    doc = {"base": base, "fiber": fiber}
-    if sys.ly_base != (1.0, 1.0):
-        doc["constants"] = {"ly_base": list(sys.ly_base)}
-    return doc
 
 
 # ---------------------------------------------------------------- measures
@@ -324,7 +294,7 @@ def load_measure(doc: dict) -> Disintegration:
         exact = bool(positions) and all(
             isinstance(s, (Fraction, int)) for s in positions + weights)
         fibers.append(FiberMeasure(positions, weights, exact=exact))
-    return Disintegration(fibers, n_cells=n)
+    return Disintegration(fibers)
 
 
 def save_measure(dis: Disintegration) -> dict:
@@ -396,7 +366,7 @@ def load_family(doc: dict) -> SweepJob:
         _require(doc, {"kind", "system", "deltas", "gamma"},
                  {"gamma_prime", "pipeline"}, "family")
         ref = load_system(doc["system"])
-        if ref.fiber.kind != "translation":
+        if ref.fiber.bump is not None:
             raise ValueError("translation-ladder needs a translation fiber")
         family = []
         for raw in _list(doc, "deltas"):

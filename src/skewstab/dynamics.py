@@ -99,10 +99,6 @@ class BaseMap:
             raise ValueError("sigma is not a diffeomorphism")
 
     @property
-    def kind(self) -> str:
-        return "linear" if self.sigma is None else "linear_precomposed"
-
-    @property
     def lam(self) -> float:
         if self.sigma is None:
             return 1.0 / self.branch_count
@@ -123,7 +119,7 @@ class BaseMap:
 
     def check_grid(self, n_cells: int) -> None:
         l, n = self.branch_count, n_cells
-        while n % l == 0:
+        while n > 1 and n % l == 0:
             n //= l
         if n != 1:
             raise ValueError(
@@ -286,7 +282,6 @@ class FiberMapFamily:
     """x-dependent fiber maps G(x, .): a rotation applied on the
     indicator set, followed by an x-independent deformation."""
 
-    kind: str
     theta: object = 0
     indicator: tuple = ()
     bump: OrbitBump | None = None
@@ -347,19 +342,17 @@ def _angle_value(theta):
 def translation_family(theta, indicator=DEFAULT_INDICATOR,
                        A: float = 0.5) -> FiberMapFamily:
     iv = tuple((Fraction(a), Fraction(b)) for a, b in indicator)
-    return FiberMapFamily("translation", theta=_angle_value(theta),
-                          indicator=iv, A=A)
+    return FiberMapFamily(theta=_angle_value(theta), indicator=iv, A=A)
 
 
 def identity_family(A: float = 0.5) -> FiberMapFamily:
-    return FiberMapFamily("translation", theta=0, indicator=(), A=A)
+    return FiberMapFamily(theta=0, indicator=(), A=A)
 
 
 def deformation_family(delta, orbit_k: int, scale: float = 1.0,
                        A: float = 0.5) -> FiberMapFamily:
     bump = OrbitBump(orbit_k, abs(float(delta)) * scale)
-    return FiberMapFamily("deformation", theta=0, indicator=(),
-                          bump=bump, A=A)
+    return FiberMapFamily(theta=0, indicator=(), bump=bump, A=A)
 
 
 def composite_family(theta, delta, orbit_k: int, scale: float = 1.0,
@@ -367,8 +360,8 @@ def composite_family(theta, delta, orbit_k: int, scale: float = 1.0,
                      ) -> FiberMapFamily:
     iv = tuple((Fraction(a), Fraction(b)) for a, b in indicator)
     bump = OrbitBump(orbit_k, abs(float(delta)) * scale)
-    return FiberMapFamily("composite", theta=_angle_value(theta),
-                          indicator=iv, bump=bump, A=A)
+    return FiberMapFamily(theta=_angle_value(theta), indicator=iv,
+                          bump=bump, A=A)
 
 
 # ---------------------------------------------------------------- system
@@ -412,8 +405,6 @@ class PerturbationSpec:
     base_good_set: tuple = ((0.0, 1.0),)
     fiber_good_set: tuple = ((0.0, 1.0),)
     fiber_displacement: float = 0.0
-    reference_invariant: Disintegration | None = None
-    perturbed_invariant: Disintegration | None = None
     # known closed-form distance ||f_delta - f_0||_"1" (skips pipelines)
     invariant_distance: object = None
     # perturbation size reported in tables (declared_delta may also carry
@@ -496,21 +487,20 @@ class InvariantResult:
 
 def invariant_measure(sys: SkewSystem, tol: float = 1e-6, n_max: int = 200,
                       eps_f: float | None = None, n_cells: int = 1024,
-                      fiber_atoms: int = 256,
-                      start: Disintegration | None = None,
-                      eps_acc: float | None = None) -> InvariantResult:
+                      fiber_atoms: int = 256) -> InvariantResult:
     """Cesaro averages of transfer iterates from discretized Lebesgue.
 
     The running average is accumulated on a 1/(4N) grid (eps_acc) so its
     atom count stays bounded over long runs; this moves the reported
     average by at most eps_acc in the fiberwise-W1 norm.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     sys.require_domination()
-    if start is None:
-        start = lebesgue_disintegration(n_cells, fiber_atoms)
-    n_cells = start.n_cells
-    if eps_acc is None:
-        eps_acc = _default_eps(n_cells)
+    start = lebesgue_disintegration(n_cells, fiber_atoms)
+    eps_acc = _default_eps(n_cells)
 
     current = start
     avg = start
@@ -599,14 +589,12 @@ class OperatorDistance:
 
 
 def operator_distance(pspec: PerturbationSpec, battery_size: int = 32,
-                      seed: int = 0, n_cells: int = 64,
-                      eps_f: float = 2.0 ** -40) -> OperatorDistance:
+                      seed: int = 0) -> OperatorDistance:
     """Empirical sup of ||(L0 - L_delta) f||_"1" over a seeded battery of
-    unit p-BV measures; a lower estimate of the strong-to-weak operator
-    distance."""
-    if pspec.reference.base.xi != 1 or pspec.perturbed.base.xi != 1:
-        raise ValueError("operator distance requires xi = 1 families")
-    battery = unit_pbv_battery(seed, battery_size, n_cells)
+    unit p-BV measures on 64 cells; a lower estimate of the
+    strong-to-weak operator distance."""
+    eps_f = 2.0 ** -40
+    battery = unit_pbv_battery(seed, battery_size, 64)
     best = 0.0
     for f in battery:
         d = l1_norm(transfer_step(pspec.reference, f, eps_f=eps_f)
@@ -615,14 +603,15 @@ def operator_distance(pspec: PerturbationSpec, battery_size: int = 32,
     return OperatorDistance(best, battery_size, seed)
 
 
-def skorokhod_bound(pspec: PerturbationSpec, grid: int = 100_000) -> float:
-    """max(||sigma - Id||_inf, ||1/sigma' - 1||_inf, m(A1^c)) on a dense
-    grid; an upper bound for the reparametrization distance."""
+def skorokhod_bound(pspec: PerturbationSpec) -> float:
+    """max(||sigma - Id||_inf, ||1/sigma' - 1||_inf, m(A1^c)) on a grid
+    of 10^5 + 1 points; an upper bound for the reparametrization
+    distance."""
     sigma = pspec.perturbed.base.sigma
     bad = 1.0 - sum(b - a for a, b in pspec.base_good_set)
     if sigma is None:
         return max(0.0, bad)
-    xs = np.arange(grid + 1) / grid
+    xs = np.arange(100_001) / 100_000
     derivs = sigma.deriv(xs)
     if np.min(derivs) <= 0:
         raise ValueError("sigma is not a diffeomorphism")

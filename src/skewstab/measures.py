@@ -388,13 +388,9 @@ class Disintegration:
 
     __slots__ = ("n_cells", "ids", "table")
 
-    def __init__(self, fibers: Sequence[FiberMeasure], n_cells: int | None = None):
+    def __init__(self, fibers: Sequence[FiberMeasure]):
         fibers = list(fibers)
-        if n_cells is None:
-            n_cells = len(fibers)
-        if len(fibers) != n_cells:
-            raise ValueError("fiber count must equal n_cells")
-        self._pack(np.arange(n_cells, dtype=np.int64), fibers)
+        self._pack(np.arange(len(fibers), dtype=np.int64), fibers)
 
     @classmethod
     def from_ids(cls, ids, table: Sequence[FiberMeasure]) -> "Disintegration":
@@ -488,6 +484,8 @@ def _canonical(ids: np.ndarray, table: Sequence[FiberMeasure]
 
 def uniform_fiber(n_atoms: int, exact: bool = False, weight_total=1) -> FiberMeasure:
     """Uniform probability-like measure: n atoms at j/n, total weight as given."""
+    if n_atoms < 1:
+        raise ValueError(f"fiber atom count must be >= 1, got {n_atoms}")
     if exact:
         # already canonical: positions j over n_atoms, one weight numerator
         w = Fraction(weight_total) / n_atoms
@@ -522,6 +520,8 @@ def lebesgue_disintegration(n_cells: int, fiber_atoms: int,
                             exact: bool = False) -> Disintegration:
     """Discretized Lebesgue probability on [0,1] x T^1: every cell carries a
     uniform fiber grid with total weight 1/N."""
+    if n_cells < 1:
+        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     if exact:
         f = uniform_fiber(fiber_atoms, exact=True, weight_total=Fraction(1, n_cells))
     else:

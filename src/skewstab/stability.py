@@ -203,13 +203,14 @@ def _tail_fit(ns, norms):
 
 
 def equilibrium_decay(sys: SkewSystem, g: Disintegration, n_max: int,
-                      eps_f: float = 2.0 ** -16,
-                      description: str = "") -> DecaySeries:
+                      eps_f: float = 2.0 ** -16) -> DecaySeries:
     """Record ||L^n g||_"1" for n = 0..n_max for a zero-mass g.
 
     eps_f keeps the signed atom clouds bounded; it perturbs each norm by
     at most eps_f * |g|, well below the decay scales probed here.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if abs(float(g.mass())) > 1e-12:
         raise ValueError("not in V_s: input must have zero total mass")
     norms = [max(0.0, float(l1_norm(g)))]
@@ -219,8 +220,7 @@ def equilibrium_decay(sys: SkewSystem, g: Disintegration, n_max: int,
         norms.append(max(0.0, float(l1_norm(cur))))
     ns = tuple(range(n_max + 1))
     slope, intercept, resid = _tail_fit(ns, norms)
-    if not description:
-        description = f"zero-mass disintegration on {g.n_cells} cells"
+    description = f"zero-mass disintegration on {g.n_cells} cells"
     return DecaySeries(ns, tuple(norms), description, slope, intercept,
                        resid)
 
@@ -264,7 +264,8 @@ def stability_sweep(family: list, gamma: float,
     """Distances ||f_delta - f_0||_"1" against the Holder upper-bound
     shape K * delta^(1/(8 gamma + 1)) (K fitted on the smallest delta)
     and, when gamma_prime is given, the counterexample lower bound
-    (1/9) * delta^(1/(gamma_prime - 1))."""
+    (1/9) * delta^(1/(gamma_prime - 1)).  A pipeline row counts as
+    converged only when both its own and the reference pipeline did."""
     if not family:
         raise ValueError("empty family")
     ref = family[0].reference
@@ -275,26 +276,17 @@ def stability_sweep(family: list, gamma: float,
         raise ValueError("delta values must be distinct")
     opts = pipeline or {}
 
-    f0 = None
+    r0 = None
     entries = []
     for ps in family:
         if ps.invariant_distance is not None:
             entries.append((ps, float(ps.invariant_distance), True))
             continue
-        if ps.perturbed_invariant is not None:
-            f_d, ok = ps.perturbed_invariant, True
-        else:
-            res = invariant_measure(ps.perturbed, **opts)
-            f_d, ok = res.measure, res.converged
-        if f0 is None:
-            if ps.reference_invariant is not None:
-                f0 = ps.reference_invariant
-            else:
-                r0 = invariant_measure(ref, **opts)
-                if not r0.converged:
-                    raise ValueError("reference pipeline did not converge")
-                f0 = r0.measure
-        entries.append((ps, float(l1_norm(f_d - f0)), ok))
+        res = invariant_measure(ps.perturbed, **opts)
+        if r0 is None:
+            r0 = invariant_measure(ref, **opts)
+        entries.append((ps, float(l1_norm(res.measure - r0.measure)),
+                        res.converged and r0.converged))
 
     exponent = 1.0 / (8.0 * gamma + 1.0)
     order = sorted(range(len(entries)),
@@ -377,8 +369,6 @@ def prop_bahh_system(theta: AngleSpec, j: int,
     pspec = PerturbationSpec(
         reference, perturbed, declared,
         fiber_displacement=declared,
-        reference_invariant=mu_ref,
-        perturbed_invariant=mu_orb,
         invariant_distance=Fraction(1, 4 * k),
         nominal_delta=float(size))
     return PropBahhSystem(pspec, mu_ref, mu_orb, mu_rep, j, k, pert.delta,
@@ -503,22 +493,23 @@ class Prop30Report:
     sqrt_delta_ok: bool
 
 
-@lru_cache(maxsize=4)
-def _exact_dyadic_lebesgue(log2_atoms: int) -> Disintegration:
-    return lebesgue_disintegration(1, 2 ** log2_atoms, exact=True)
+@lru_cache(maxsize=1)
+def _exact_dyadic_lebesgue() -> Disintegration:
+    return lebesgue_disintegration(1, 2 ** 17, exact=True)
 
 
-def prop30_example(j: int, n_cells: int = 16,
-                   lebesgue_log2_atoms: int = 17) -> Prop30Report:
-    """The observable averaged against the orbit measure mu_j, with the
-    lower bounds it certifies; j <= 2 (j = 3 needs period 2^64 orbits,
-    out of desk scale, refused)."""
+def prop30_example(j: int) -> Prop30Report:
+    """The observable averaged against the orbit measure mu_j on 16 cells,
+    with the lower bounds it certifies, and against exact Lebesgue with
+    2^17 fiber atoms; j <= 2 (j = 3 needs period 2^64 orbits, out of desk
+    scale, refused)."""
     if j not in (1, 2):
         raise ValueError(
             f"j = {j} needs period 2^(2^{2 * j}) orbits; refused as out of "
             f"desk scale (supported: j in {{1, 2}})")
     theta = lacunary_theta(3)
     pert = approximant_perturbation(theta, j)
+    n_cells = 16
     mu_j = product_disintegration(
         n_cells, rotation_orbit_fiber(pert.p, pert.k, exact=True))
     fm = mu_j.table[0]
@@ -530,9 +521,7 @@ def prop30_example(j: int, n_cells: int = 16,
                      else float(amp) * float(v) * n_cells)
     value = prop30_observable_average(4, mu_j)
 
-    if lebesgue_log2_atoms < 17:
-        raise ValueError("lebesgue grid needs at least 2^17 atoms")
-    leb = _exact_dyadic_lebesgue(lebesgue_log2_atoms)
+    leb = _exact_dyadic_lebesgue()
     leb_value = prop30_observable_average(2, leb)
 
     amp_j = _OBS_TERMS[j - 1][2]

@@ -1,10 +1,16 @@
 """Runner behavior: artifact shapes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from skewstab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DOUBLING_DOC = {
     "base": {"kind": "linear", "l": 2},
@@ -182,6 +188,57 @@ def test_invariant_exit_codes(tmp_path):
     meta = json.loads((tmp_path / "inv.json.meta.json").read_text())
     assert meta["partial"] is True
     assert main(args + ["--allow-partial"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["decay", "--N", "0"],
+    ["decay", "--N", "64", "--nmax", "-1"],
+    ["invariant", "--N", "0"],
+    ["invariant", "--N", "64", "--fiber-atoms", "0"],
+    ["invariant", "--N", "64", "--fiber-atoms", "64", "--tol", "nan"],
+    ["invariant", "--N", "64", "--fiber-atoms", "64", "--tol", "-1"],
+    ["invariant", "--N", "64", "--fiber-atoms", "64", "--tol", "inf"],
+], ids=["decay-n-0", "decay-nmax-negative", "invariant-n-0",
+        "invariant-atoms-0", "tol-nan", "tol-negative", "tol-inf"])
+def test_bad_counts_exit_2(tmp_path, args):
+    # a fresh interpreter with a timeout: a grid check that loops forever
+    # fails this test instead of stalling the suite
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewstab.cli", *args,
+         "--config", str(ROOT / "configs" / "doubling_rotation.json"),
+         "--out-dir", str(tmp_path), "--out", "out"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_unconverged_reference_is_partial(tmp_path, capsys):
+    p = tmp_path / "ladder.json"
+    p.write_text(json.dumps({
+        "kind": "translation-ladder",
+        "system": {
+            "base": {"kind": "linear_precomposed", "l": 2,
+                     "sigma": {"kind": "sine", "amplitude": 0.01}},
+            "fiber": {"kind": "translation", "theta": "golden",
+                      "indicator": [["0.5", "1"]]}},
+        "deltas": ["1/256", "1/512", "1/1024"],
+        "gamma": 1.0,
+        "pipeline": {"n_cells": 16, "fiber_atoms": 32, "n_max": 3,
+                     "tol": 1e-12}}))
+    args = ["sweep", "--config", str(p), "--out-dir", str(tmp_path),
+            "--out", "sweep.csv"]
+    for extra, code in (([], 3), (["--allow-partial"], 0)):
+        assert main(args + extra) == code
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["partial"] is True
+        assert meta["results"]["unconverged_deltas"] == \
+            [1 / 256, 1 / 512, 1 / 1024]
+        assert meta["results"]["upper_ok"] == []
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 4
+    assert "3 rows did not converge" in capsys.readouterr().err
 
 
 def test_invariant_writes_measure(doubling_path, tmp_path):

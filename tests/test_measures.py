@@ -174,7 +174,7 @@ def test_l1_lebesgue_probability():
 
 def test_l1_zero_measure():
     zero = FiberMeasure([], [])
-    assert l1_norm(Disintegration([zero] * 8, n_cells=8)) == 0.0
+    assert l1_norm(Disintegration([zero] * 8)) == 0.0
 
 
 def test_l1_lebesgue_minus_uniform_orbit():
@@ -195,7 +195,7 @@ def test_oscillation_spike_example():
     n = 16
     f0 = FiberMeasure([[0.0]], [1.0])
     fh = FiberMeasure([[0.5]], [1.0])
-    dis = Disintegration([f0] + [fh] * (n - 1), n_cells=n)
+    dis = Disintegration([f0] + [fh] * (n - 1))
     assert oscillation(dis, 0, 2 / n) == pytest.approx(n * 0.5, abs=1e-9)
 
 
@@ -229,7 +229,7 @@ def test_oscillation_radius_errors():
 def single_jump(n: int) -> Disintegration:
     left = FiberMeasure([[0.0]], [1.0 / n])
     right = FiberMeasure([[0.5]], [1.0 / n])
-    return Disintegration([left] * (n // 2) + [right] * (n // 2), n_cells=n)
+    return Disintegration([left] * (n // 2) + [right] * (n // 2))
 
 
 def test_var_p_x_constant_zero():
@@ -282,7 +282,7 @@ def test_pbv_lebesgue():
 
 def test_pbv_zero():
     zero = FiberMeasure([], [])
-    rep = pbv_norm(Disintegration([zero] * 4, n_cells=4), 1.0, 0.5)
+    rep = pbv_norm(Disintegration([zero] * 4), 1.0, 0.5)
     assert (rep.l1, rep.var_p, rep.pbv) == (0.0, 0.0, 0.0)
 
 
@@ -309,7 +309,7 @@ def test_pbv_fiber_sup_bound_on_spike():
     n = 64
     spike = [FiberMeasure([[0.25]], [1.0])] + \
         [FiberMeasure([], [])] * (n - 1)
-    dis = Disintegration(spike, n_cells=n)
+    dis = Disintegration(spike)
     for p in (1.0, 0.5):
         rep = pbv_norm(dis, p, 0.5)
         assert n <= 0.5 ** (p - 1) * rep.pbv + 1e-9
@@ -328,7 +328,7 @@ def test_marginal_half_support():
     n = 16
     atom = FiberMeasure([[0.3]], [2.0 / n])
     empty = FiberMeasure([], [])
-    dis = Disintegration([atom] * (n // 2) + [empty] * (n // 2), n_cells=n)
+    dis = Disintegration([atom] * (n // 2) + [empty] * (n // 2))
     md = marginal_density(dis)
     assert md.values[: n // 2] == pytest.approx(np.full(n // 2, 2.0))
     assert md.values[n // 2:] == pytest.approx(np.zeros(n // 2))
@@ -360,7 +360,7 @@ def test_pc_approx_smoothing_inequalities():
     n = 64
     left = FiberMeasure([[0.0]], [1.0 / n])
     right = FiberMeasure([[0.5]], [1.0 / n])
-    dis = Disintegration([left] * 24 + [right] * (n - 24), n_cells=n)
+    dis = Disintegration([left] * 24 + [right] * (n - 24))
     eps = 1 / 4
     out = piecewise_constant_approx(dis, eps)
     v_in = var_p(dis, 1.0, 0.5)
@@ -383,8 +383,12 @@ def test_pc_approx_mass_and_errors():
 
 def test_disintegration_validation():
     fm1 = FiberMeasure([[0.1]], [1.0])
-    with pytest.raises(ValueError, match="fiber count"):
-        Disintegration([fm1], n_cells=2)
+    with pytest.raises(ValueError, match="empty disintegration"):
+        Disintegration([])
+    with pytest.raises(ValueError, match="out of range"):
+        Disintegration.from_ids([0, 1], [fm1])
+    with pytest.raises(ValueError, match="out of range"):
+        Disintegration.from_ids([-1, 0], [fm1])
 
 
 def _assert_packed(packed: Disintegration, cells: list) -> None:
