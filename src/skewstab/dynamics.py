@@ -251,8 +251,8 @@ class OrbitBump:
     strength: float
 
     def __post_init__(self):
-        if self.strength < 0:
-            raise ValueError("strength must be >= 0")
+        if not (math.isfinite(self.strength) and self.strength >= 0):
+            raise ValueError("strength must be finite and >= 0")
         if self.strength * self.max_g_prime() >= 1:
             raise ValueError("deformation too strong to stay injective")
 

@@ -8,11 +8,8 @@ algebra, coarsening and the norms work on the table and the id array, so
 their cost scales with the number of distinct fibers rather than N.
 
 The W1 norm here is the dual Lipschitz norm with the extra sup bound
-(|g| <= 1, Lip(g) <= 1), evaluated by linear programming with exact
-rational arithmetic on small programs, plus two closed-form fast paths:
-single-signed measures (norm = |total mass|) and balanced measures on the
-circle (cdf median formula; the cap constraint never binds there because
-transporting over distance <= 1/2 always beats creating mass at cost 1).
+(|g| <= 1, Lip(g) <= 1), the flat norm of the circle, in one closed form
+on the numerator arrays (delete the excess mass, transport the rest).
 
 var_p reads window oscillations off one interval-max table over the runs
 of equal ids.
@@ -50,10 +47,9 @@ __all__ = [
 ]
 
 _DROP_TOL = 1e-15
-# exact rational LP is used up to this atom count (oracle-grade path)
-_EXACT_LP_MAX_ATOMS = 8
-# own dense float simplex up to here, scipy linprog beyond
-_DENSE_LP_MAX_ATOMS = 96
+# unbalanced float fibers with more atoms than this still go to scipy's
+# HiGHS: criterion 7 only converges on its false zeros (ROADMAP item 2)
+_FLAT_MAX_FLOAT_ATOMS = 96
 _BALANCE_RTOL = 1e-12
 
 
@@ -254,119 +250,142 @@ class FiberMeasure:
 # --------------------------------------------------------------------------
 
 
-def _circle_dist(a, b):
-    d = abs(a - b)
-    return min(d, 1 - d)
+def _lower_median(values: np.ndarray, weights: np.ndarray):
+    """Smallest value v with weight{values <= v} >= half the total."""
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    return values[order[np.argmax(2 * cum >= cum[-1])]]
 
 
-def _w1_balanced_circle(fm: FiberMeasure):
-    """min_c integral |F(t) - c| dt on the circle: exact transport value
-    of a balanced measure, equal to the capped dual norm (cap never binds).
-    Runs on the numerator arrays; c is a gap-weighted median of the prefix
-    sums F, and the exact value is one Fraction over q * r."""
-    pos, w = fm.positions, fm.weights
-    prefix = np.cumsum(w)
-    gaps = np.diff(pos, append=pos[0] + fm.q)
-    order = np.argsort(prefix, kind="stable")
-    cum = np.cumsum(gaps[order])
-    c = prefix[order[np.argmax(2 * cum >= cum[-1])]]
-    total = np.dot(gaps, np.abs(prefix - c))
+def _isotonic_l1(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted-L1 nondecreasing fit of y by pool adjacent violators, each
+    pool at the lower weighted median of its values (so at a value of y)."""
+    starts: list[int] = []
+    vals: list = []
+    for i in range(len(y)):
+        starts.append(i)
+        vals.append(y[i])
+        while len(vals) > 1 and vals[-2] > vals[-1]:
+            del vals[-1], starts[-1]
+            vals[-1] = _lower_median(y[starts[-1]:i + 1],
+                                     weights[starts[-1]:i + 1])
+    return np.repeat(np.array(vals, dtype=y.dtype), np.diff(starts + [len(y)]))
+
+
+def _signed_mass(fm: FiberMeasure):
+    """Mass in weight units (the numerator on the exact side); 0 for a
+    near-balanced float fiber, |mass| <= 1e-12 |weights|_1."""
     if fm.exact:
-        return Fraction(total, fm.q * fm.r)
-    return float(total)
+        return sum(fm.weights.tolist())
+    m = math.fsum(fm.weights)
+    return 0.0 if abs(m) <= _BALANCE_RTOL * fm.abs_mass() else m
 
 
-def _w1_lp(fm: FiberMeasure):
-    """Capped-Lipschitz dual LP with only cyclically consecutive
-    constraints (valid on the circle: chaining along either arc reproduces
-    every pairwise constraint)."""
+def _w1_flat(fm: FiberMeasure):
+    """Flat norm on the circle from the numerator arrays, both backends.
+
+    Q are the prefix sums, g the arcs (the last one wraps) and m >= 0 the
+    mass (the weights negated otherwise).  A balanced fiber costs
+    min_c sum g_i |Q_i - c|, c a weighted median of Q.  Otherwise mass m
+    is deleted and the rest transported at cost
+    m + min_a (g[-1] |a| + sum_i g_i |Q_i - clip(R_i, a, a + m)|), R the
+    weighted-L1 nondecreasing fit of Q[:-1]; the bracket is convex and
+    piecewise linear in a with breakpoints in Q and Q - m, so a binary
+    search over those finds its minimum.  Exact values are one Fraction
+    over q * r.
+    """
+    prefix = np.cumsum(fm.weights)
+    gaps = np.diff(fm.positions, append=fm.positions[0] + fm.q)
+    m = _signed_mass(fm)
+    if m == 0:
+        best = np.dot(gaps, np.abs(prefix - _lower_median(prefix, gaps)))
+    else:
+        if m < 0:
+            prefix, m = -prefix, -m
+        prefix[-1] = m
+        head, g = prefix[:-1], gaps[:-1]
+        fit = _isotonic_l1(head, g)
+
+        def cost(a):
+            clipped = np.minimum(np.maximum(fit, a), a + m)
+            return gaps[-1] * abs(a) + np.dot(g, np.abs(head - clipped))
+
+        cand = np.unique(np.concatenate((prefix, prefix - m)))
+        lo, hi = 0, len(cand) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cost(cand[mid]) <= cost(cand[mid + 1]):
+                hi = mid
+            else:
+                lo = mid + 1
+        best = cost(cand[lo])
+    if fm.exact:
+        return Fraction(m * fm.q + best, fm.q * fm.r)
+    return float(m + best)
+
+
+def _w1_highs(fm: FiberMeasure) -> float:
+    """The capped-Lipschitz dual LP by scipy's HiGHS, constraining only
+    cyclic neighbours (chaining along either arc gives every pair)."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n = len(fm)
-    if fm.exact and n <= _EXACT_LP_MAX_ATOMS:
-        solver = "exact"
-    elif n <= _DENSE_LP_MAX_ATOMS:
-        solver = "dense"
-    else:
-        solver = "scipy"
+    d = np.abs(np.diff(fm.positions, append=fm.positions[0]))
+    i = np.arange(n)
+    cols = np.stack([i, (i + 1) % n, i, (i + 1) % n], axis=1).reshape(-1)
+    A = sparse.coo_matrix((np.tile([1.0, -1.0, -1.0, 1.0], n),
+                           (np.repeat(np.arange(2 * n), 2), cols)),
+                          shape=(2 * n, n))
+    res = linprog(-fm.weights, A_ub=A.tocsc(),
+                  b_ub=np.repeat(np.minimum(d, 1 - d), 2),
+                  bounds=(-1.0, 1.0), method="highs")
+    if not res.success:
+        raise RuntimeError(f"linprog failed: {res.message}")
+    return float(-res.fun)
 
-    atoms = fm.atoms()
-    pos = [p for p, _ in atoms]
-    pairs = [(i, i + 1, _circle_dist(pos[i], pos[i + 1]))
-             for i in range(n - 1)]
-    if n > 2:
-        pairs.append((n - 1, 0, _circle_dist(pos[n - 1], pos[0])))
 
-    if solver == "scipy":
-        from scipy import sparse
-        from scipy.optimize import linprog
-
-        w = np.asarray([float(x) for _, x in atoms])
-        rows, cols, data, rhs = [], [], [], []
-        r = 0
-        for i, j, d in pairs:
-            rows += [r, r, r + 1, r + 1]
-            cols += [i, j, i, j]
-            data += [1.0, -1.0, -1.0, 1.0]
-            rhs += [float(d), float(d)]
-            r += 2
-        A = sparse.coo_matrix((data, (rows, cols)), shape=(r, n))
-        res = linprog(-w, A_ub=A.tocsc(), b_ub=np.asarray(rhs), bounds=(-1.0, 1.0),
-                      method="highs")
-        if not res.success:
-            raise RuntimeError(f"linprog failed: {res.message}")
-        return float(-res.fun)
-
-    exact = solver == "exact"
-    if exact:
-        w = [x for _, x in atoms]
-        two = Fraction(2)
-    else:
-        w = [float(x) for _, x in atoms]
-        two = 2.0
-    # substitute h = g + 1 in [0, 2] so the slack basis is feasible
-    A = []
-    b = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        A.append(row)
-        b.append(two)
-    for i, j, d in pairs:
-        dd = d if exact else float(d)
-        row = [0] * n
-        row[i] = 1
-        row[j] = -1
-        A.append(row)
-        b.append(dd)
-        A.append([-v for v in row])
-        b.append(dd)
-    val, x = solve_simplex(w, A, b, exact=exact)
-    total = sum(w) if exact else math.fsum(w)
-    out = val - total
-    return out if exact else float(out)
+def _w1_tableau(fm: FiberMeasure):
+    """The same LP by the exact tableau over the atoms' exact values, the
+    method="lp" reference; float fibers convert through Fraction and get
+    a float back."""
+    atoms = [(Fraction(p), Fraction(v)) for p, v in fm.atoms()]
+    n, w = len(atoms), [v for _, v in atoms]
+    # h = g + 1 in [0, 2] keeps the slack basis feasible
+    A = [[int(i == k) for k in range(n)] for i in range(n)]
+    b = [2] * n
+    for i in range(n if n > 2 else n - 1):
+        j = (i + 1) % n
+        d = abs(atoms[i][0] - atoms[j][0])
+        row = [int(k == i) - int(k == j) for k in range(n)]
+        A += [row, [-v for v in row]]
+        b += [min(d, 1 - d)] * 2
+    val = solve_simplex(w, A, b)[0] - sum(w)
+    return val if fm.exact else float(val)
 
 
 def w1_norm(fm: FiberMeasure, *, method: str = "auto"):
     """Dual norm sup { integral g d(fm) : |g| <= 1, Lip(g) <= 1 } on the
-    circle.
+    circle (the flat norm).
 
-    method: "auto" picks closed forms where valid, "lp" forces the linear
-    program.  Returns a Fraction on fully exact fast paths.  Near-balanced
-    float measures (|mass| <= 1e-12 * |weights|_1) reuse the balanced
-    closed form; the error of that shortcut is <= 2|mass|.
+    method: "auto" evaluates the closed form (exact fibers give
+    Fractions), "lp" the exact tableau.  Near-balanced float fibers count
+    as balanced, an error <= 2|mass|.  Unbalanced float fibers of more
+    than 96 atoms still go to scipy's HiGHS.
     """
     if len(fm) == 0:
         return Fraction(0) if fm.exact else 0.0
     if method == "lp":
-        return _w1_lp(fm)
+        return _w1_tableau(fm)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     # weights are never zero, so this is the single-signed test
     if not (fm.weights < 0).any() or not (fm.weights > 0).any():
         return abs(fm.mass())
-    m = fm.mass()
-    if m == 0 or (not fm.exact and abs(m) <= _BALANCE_RTOL * fm.abs_mass()):
-        return _w1_balanced_circle(fm)
-    return _w1_lp(fm)
+    if (not fm.exact and len(fm) > _FLAT_MAX_FLOAT_ATOMS
+            and _signed_mass(fm) != 0):
+        return _w1_highs(fm)
+    return _w1_flat(fm)
 
 
 # --------------------------------------------------------------------------
@@ -417,10 +436,6 @@ class Disintegration:
     @property
     def exact(self) -> bool:
         return all(f.exact for f in self.table)
-
-    def is_uniform(self) -> bool:
-        """True when every fiber has identical content (x-constant measure)."""
-        return len(self.table) == 1
 
     def mass(self):
         # exactly rounded sum over cells, as if summed cell by cell

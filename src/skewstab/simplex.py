@@ -1,10 +1,8 @@
-"""Small dense simplex solver for the fiberwise Wasserstein linear programs.
+"""Small dense exact simplex solver: the reference for w1_norm(method="lp").
 
 Solves  max c.x  subject to  A x <= b, x >= 0  with b >= 0, so the slack
-basis is feasible and no phase-one step is needed.  The same tableau code
-runs in exact rational arithmetic (fractions.Fraction entries) or in
-floating point; the W1 fast paths only ever build programs with a few
-dozen variables, larger programs are routed to scipy by the caller.
+basis is feasible and no phase-one step is needed.  Every entry converts
+to fractions.Fraction (floats exactly), so the optimum is exact.
 """
 
 from __future__ import annotations
@@ -17,49 +15,27 @@ class SimplexError(Exception):
     pass
 
 
-def solve_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence, *, exact: bool,
+def solve_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence,
                   max_pivots: int = 20000):
-    """Return (optimal value, x) for max c.x s.t. A x <= b, x >= 0.
+    """Return (optimal value, x) for max c.x s.t. A x <= b, x >= 0, in
+    Fractions.
 
     Requires b >= 0.  Uses Bland's rule, so it terminates on degenerate
-    programs; `exact` selects Fraction arithmetic over float.
+    programs.
     """
     m = len(A)
     n = len(c)
-    if exact:
-        zero, one = Fraction(0), Fraction(1)
-        conv = Fraction
-        tol = zero
-    else:
-        zero, one = 0.0, 1.0
-        conv = float
-        tol = 1e-11
-
-    # tableau rows: m constraint rows [A | I | b], last row objective [-c | 0 | 0]
-    T = []
-    for i in range(m):
-        row = [conv(v) for v in A[i]]
-        row.extend(one if j == i else zero for j in range(m))
-        bi = conv(b[i])
-        if bi < -abs(tol):
-            raise SimplexError("negative right-hand side")
-        row.append(bi)
-        T.append(row)
-    obj = [-conv(v) for v in c]
-    obj.extend(zero for _ in range(m))
-    obj.append(zero)
-    T.append(obj)
-
+    if any(Fraction(v) < 0 for v in b):
+        raise SimplexError("negative right-hand side")
+    # m constraint rows [A | I | b], then the objective row [-c | 0 | 0]
+    T = [[Fraction(v) for v in A[i]] + [Fraction(int(j == i)) for j in range(m)]
+         + [Fraction(b[i])] for i in range(m)]
+    T.append([-Fraction(v) for v in c] + [Fraction(0)] * (m + 1))
     basis = list(range(n, n + m))
-    ncols = n + m + 1
 
     for _ in range(max_pivots):
         # Bland: entering = lowest index with negative reduced cost
-        enter = -1
-        for j in range(n + m):
-            if T[m][j] < -tol:
-                enter = j
-                break
+        enter = next((j for j in range(n + m) if T[m][j] < 0), -1)
         if enter < 0:
             break
         # ratio test, Bland tie-break on leaving basic variable index
@@ -67,8 +43,8 @@ def solve_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence, *, exact: boo
         best = None
         for i in range(m):
             a = T[i][enter]
-            if a > tol:
-                ratio = T[i][ncols - 1] / a
+            if a > 0:
+                ratio = T[i][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
@@ -77,18 +53,15 @@ def solve_simplex(c: Sequence, A: Sequence[Sequence], b: Sequence, *, exact: boo
         piv = T[leave][enter]
         T[leave] = [v / piv for v in T[leave]]
         for i in range(m + 1):
-            if i == leave:
-                continue
             f = T[i][enter]
-            if f != zero:
-                row_l = T[leave]
-                T[i] = [v - f * w for v, w in zip(T[i], row_l)]
+            if i != leave and f != 0:
+                T[i] = [v - f * w for v, w in zip(T[i], T[leave])]
         basis[leave] = enter
     else:
         raise SimplexError("pivot limit exceeded")
 
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = T[i][ncols - 1]
-    return T[m][ncols - 1], x
+            x[basis[i]] = T[i][-1]
+    return T[m][-1], x

@@ -107,8 +107,9 @@ class StabilityBudget:
     epsilon: float
 
     def __post_init__(self):
-        if min(self.M_tilde, self.C_tilde, self.epsilon) < 0:
-            raise ValueError("budget constants must be >= 0")
+        vals = (self.M_tilde, self.C_tilde, self.epsilon)
+        if not all(math.isfinite(v) and v >= 0 for v in vals):
+            raise ValueError("budget constants must be finite and >= 0")
 
 
 def _psi(phi, x: float) -> float:
@@ -268,6 +269,8 @@ def stability_sweep(family: list, gamma: float,
     converged only when both its own and the reference pipeline did."""
     if not family:
         raise ValueError("empty family")
+    if not all(math.isfinite(g) for g in (gamma, gamma_prime) if g is not None):
+        raise ValueError("gamma and gamma_prime must be finite")
     ref = family[0].reference
     if any(ps.reference != ref for ps in family):
         raise ValueError("family must share one reference system")

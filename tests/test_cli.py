@@ -46,6 +46,24 @@ def test_bound_bad_phi(capsys):
     assert "phi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["bound", "--phi", "power:1,1", "--M", "nan", "--C", "1", "--eps", "0.01"],
+    ["bound", "--phi", "power:1,1", "--M", "1", "--C", "inf", "--eps", "0.01"],
+    ["bound", "--phi", "power:1,1", "--M", "1", "--C", "1", "--eps", "nan"],
+    ["bound", "--phi", "power:1,1", "--M", "inf", "--C", "1", "--eps", "0.01"],
+    ["example", "prop-bahh", "--j", "1", "--scale", "nan"],
+    ["sweep", "--config", str(ROOT / "configs" / "bahh_family.json"),
+     "--gamma", "nan", "--out", "sweep.csv"],
+], ids=["bound-M-nan", "bound-C-inf", "bound-eps-nan", "bound-M-inf",
+        "prop-bahh-scale-nan", "sweep-gamma-nan"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, args):
+    assert main(args + ["--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not list(tmp_path.iterdir())
+
+
 def test_validate(doubling_path, capsys):
     assert main(["validate", "--config", doubling_path, "--N", "1024"]) == 0
     assert capsys.readouterr().out.strip() == "ok"
