@@ -56,10 +56,6 @@ class AngleSpec:
         if not 0 <= self.value < 1:
             raise ValueError("angle must lie in [0, 1)")
 
-    @property
-    def exact(self) -> bool:
-        return self.max_exact_k is None
-
     def check_multiple(self, k: int) -> None:
         if self.max_exact_k is not None and k > self.max_exact_k:
             raise ValueError(
@@ -215,10 +211,6 @@ class ApproximantPerturbation:
     k: int
     tail_bound: Fraction
     bound_ok: bool | None = None
-
-    @property
-    def size(self) -> Fraction:
-        return abs(self.delta)
 
 
 def approximant_perturbation(theta: AngleSpec, j: int,

@@ -76,7 +76,7 @@ def _run_disintegration(rng: np.random.Generator, n_cells: int, *,
             for _ in range(n_distinct)]
     scaled = [f.scale(1.0 / n_cells) for f in pool]
     ids = _run_ids(rng, n_cells, n_distinct)
-    return Disintegration.from_ids(ids, scaled)
+    return Disintegration(ids, scaled)
 
 
 def positive_disintegrations(seed: int, count: int, n_cells: int,

@@ -49,10 +49,14 @@ def _parse_phi(spec: str):
         return PowerLaw(float(c), float(alpha))
     if spec.startswith("table:"):
         doc = read_json(spec[len("table:"):])
-        if set(doc) != {"xs", "ys"}:
+        if not isinstance(doc, dict) or set(doc) != {"xs", "ys"}:
             raise ValueError("phi table must have exactly keys xs, ys")
-        return TabulatedRate(tuple(map(float, doc["xs"])),
-                             tuple(map(float, doc["ys"])))
+        cols = (doc["xs"], doc["ys"])
+        if not all(isinstance(col, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in col) for col in cols):
+            raise ValueError("phi table xs and ys must be lists of numbers")
+        return TabulatedRate(*(tuple(map(float, col)) for col in cols))
     raise ValueError(f"unknown phi spec {spec!r}; use power:C,alpha "
                      f"or table:<path>")
 

@@ -294,7 +294,7 @@ def load_measure(doc: dict) -> Disintegration:
         exact = bool(positions) and all(
             isinstance(s, (Fraction, int)) for s in positions + weights)
         fibers.append(FiberMeasure(positions, weights, exact=exact))
-    return Disintegration(fibers)
+    return Disintegration(range(n), fibers)
 
 
 def save_measure(dis: Disintegration) -> dict:

@@ -287,6 +287,10 @@ class FiberMapFamily:
     bump: OrbitBump | None = None
     A: float = 0.5
 
+    def __post_init__(self):
+        if not 0 < self.A <= 0.5:
+            raise ValueError(f"fiber A must lie in (0, 1/2], got {self.A}")
+
     @property
     def alpha(self) -> float:
         return 1.0 if self.bump is None else self.bump.lipschitz
@@ -397,13 +401,12 @@ class SkewSystem:
 @dataclass(frozen=True)
 class PerturbationSpec:
     """A reference system, its perturbation, and the declared distance
-    data (reparametrization sigma, exceptional sets, displacement)."""
+    data (reparametrization sigma, base exceptional set, displacement)."""
 
     reference: SkewSystem
     perturbed: SkewSystem
     declared_delta: float
     base_good_set: tuple = ((0.0, 1.0),)
-    fiber_good_set: tuple = ((0.0, 1.0),)
     fiber_displacement: float = 0.0
     # known closed-form distance ||f_delta - f_0||_"1" (skips pipelines)
     invariant_distance: object = None
@@ -412,13 +415,11 @@ class PerturbationSpec:
     nominal_delta: float | None = None
 
     def __post_init__(self):
-        for name, good in (("A1", self.base_good_set),
-                           ("A2", self.fiber_good_set)):
-            bad = 1.0 - sum(b - a for a, b in good)
-            if bad > self.declared_delta + 1e-12:
-                raise ValueError(
-                    f"exceptional set {name} has measure {bad:.3g} "
-                    f"> declared delta {self.declared_delta:.3g}")
+        bad = 1.0 - sum(b - a for a, b in self.base_good_set)
+        if bad > self.declared_delta + 1e-12:
+            raise ValueError(
+                f"exceptional set A1 has measure {bad:.3g} "
+                f"> declared delta {self.declared_delta:.3g}")
         if self.fiber_displacement > self.declared_delta + 1e-12:
             raise ValueError("fiber displacement exceeds declared delta")
 
@@ -463,7 +464,7 @@ def transfer_step(sys: SkewSystem, dis: Disintegration,
         if eps_f:
             fib = coarsen(fib, eps_f)
         combos.append(fib)
-    return Disintegration.from_ids(out_ids, combos)
+    return Disintegration(out_ids, combos)
 
 
 def iterate(sys: SkewSystem, dis: Disintegration, n: int,

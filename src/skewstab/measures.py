@@ -3,9 +3,12 @@
 A FiberMeasure is a finite signed atomic measure on the circle T = R/Z,
 stored as sorted 1-D position and weight arrays.  A Disintegration packs
 the fiber restrictions to the base cells [i/N,(i+1)/N) as an id per cell
-plus a table of content-distinct fibers numbered by first appearance;
-algebra, coarsening and the norms work on the table and the id array, so
-their cost scales with the number of distinct fibers rather than N.
+plus a table of content-distinct fibers numbered by first appearance, and
+Disintegration(ids, table) is its one constructor; algebra, coarsening
+and the norms work on the table and the id array, so their cost scales
+with the number of distinct fibers rather than N.  The built-in measures
+(uniform, rotation-orbit and Lebesgue) are built exact; their float form
+is the exact one rounded once.
 
 The W1 norm here is the dual Lipschitz norm with the extra sup bound
 (|g| <= 1, Lip(g) <= 1), the flat norm of the circle, in one closed form
@@ -222,9 +225,6 @@ class FiberMeasure:
     def __sub__(self, other: "FiberMeasure") -> "FiberMeasure":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "FiberMeasure":
-        return self.scale(-1)
-
     def translate(self, shift) -> "FiberMeasure":
         """Pushforward by the rotation y -> y + shift."""
         if self.exact and _is_exact_scalar(shift):
@@ -407,19 +407,10 @@ class Disintegration:
 
     __slots__ = ("n_cells", "ids", "table")
 
-    def __init__(self, fibers: Sequence[FiberMeasure]):
-        fibers = list(fibers)
-        self._pack(np.arange(len(fibers), dtype=np.int64), fibers)
-
-    @classmethod
-    def from_ids(cls, ids, table: Sequence[FiberMeasure]) -> "Disintegration":
-        """Disintegration with fiber table[ids[i]] on cell i; the table is
-        canonicalized (unreferenced entries dropped, equal ones merged)."""
-        out = cls.__new__(cls)
-        out._pack(np.array(ids, dtype=np.int64).reshape(-1), table)
-        return out
-
-    def _pack(self, ids: np.ndarray, table: Sequence[FiberMeasure]) -> None:
+    def __init__(self, ids, table: Sequence[FiberMeasure]):
+        """Fiber table[ids[i]] on cell i; the table is canonicalized
+        (unreferenced entries dropped, equal ones merged)."""
+        ids = np.array(ids, dtype=np.int64).reshape(-1)
         if len(ids) == 0 or not table:
             raise ValueError("empty disintegration")
         if ids.min() < 0 or ids.max() >= len(table):
@@ -451,13 +442,13 @@ class Disintegration:
         return self.ids, self.table
 
     def scale(self, s) -> "Disintegration":
-        return Disintegration.from_ids(self.ids, [f.scale(s) for f in self.table])
+        return Disintegration(self.ids, [f.scale(s) for f in self.table])
 
     def _zip_op(self, other: "Disintegration", op) -> "Disintegration":
         self._check_compatible(other)
         pairs, inv = np.unique(np.stack([self.ids, other.ids], axis=1),
                                axis=0, return_inverse=True)
-        return Disintegration.from_ids(
+        return Disintegration(
             inv, [op(self.table[a], other.table[b]) for a, b in pairs.tolist()])
 
     def __add__(self, other: "Disintegration") -> "Disintegration":
@@ -471,7 +462,7 @@ class Disintegration:
             raise ValueError("incompatible disintegrations")
 
     def to_float(self) -> "Disintegration":
-        return Disintegration.from_ids(self.ids, [f.to_float() for f in self.table])
+        return Disintegration(self.ids, [f.to_float() for f in self.table])
 
 
 def _canonical(ids: np.ndarray, table: Sequence[FiberMeasure]
@@ -497,60 +488,49 @@ def _canonical(ids: np.ndarray, table: Sequence[FiberMeasure]
 # -- constructors -----------------------------------------------------------
 
 
-def uniform_fiber(n_atoms: int, exact: bool = False, weight_total=1) -> FiberMeasure:
-    """Uniform probability-like measure: n atoms at j/n, total weight as given."""
+def uniform_fiber(n_atoms: int, weight_total=1) -> FiberMeasure:
+    """Uniform exact measure: n atoms at j/n, total weight as given."""
     if n_atoms < 1:
         raise ValueError(f"fiber atom count must be >= 1, got {n_atoms}")
-    if exact:
-        # already canonical: positions j over n_atoms, one weight numerator
-        w = Fraction(weight_total) / n_atoms
-        return _fiber(np.arange(n_atoms, dtype=object),
-                      np.full(n_atoms, w.numerator, dtype=object),
-                      n_atoms, w.denominator, presorted=True)
-    w = float(weight_total) / n_atoms
-    return FiberMeasure(np.arange(n_atoms) / n_atoms, np.full(n_atoms, w),
-                        exact=False)
+    # already canonical: positions j over n_atoms, one weight numerator
+    w = Fraction(weight_total) / n_atoms
+    return _fiber(np.arange(n_atoms, dtype=object),
+                  np.full(n_atoms, w.numerator, dtype=object),
+                  n_atoms, w.denominator, presorted=True)
 
 
-def rotation_orbit_fiber(p: int, q: int, exact: bool = True,
-                         offset=0) -> FiberMeasure:
-    """Orbit measure of the rotation by p/q started at `offset`: q atoms of
-    weight 1/q at offset + j p/q mod 1."""
+def rotation_orbit_fiber(p: int, q: int, offset=0) -> FiberMeasure:
+    """Exact orbit measure of the rotation by p/q started at `offset`: q
+    atoms of weight 1/q at offset + j p/q mod 1."""
     if math.gcd(p, q) != 1:
         raise ValueError("p/q must be reduced")
-    if exact:
-        # the orbit is the coset offset + (1/q)Z mod 1: over the common
-        # denominator den, the sorted positions start + j * den/q
-        off = Fraction(offset)
-        den = math.lcm(q, off.denominator)
-        step = den // q
-        start = off.numerator * (den // off.denominator) % step
-        return _fiber(start + step * np.arange(q, dtype=object),
-                      np.ones(q, dtype=object), den, q, presorted=True)
-    pos = (float(offset) + np.arange(q) * (p / q)) % 1.0
-    return FiberMeasure(pos, np.full(q, 1.0 / q), exact=False)
+    # the orbit is the coset offset + (1/q)Z mod 1: over the common
+    # denominator den, the sorted positions start + j * den/q
+    off = Fraction(offset)
+    den = math.lcm(q, off.denominator)
+    step = den // q
+    start = off.numerator * (den // off.denominator) % step
+    return _fiber(start + step * np.arange(q, dtype=object),
+                  np.ones(q, dtype=object), den, q, presorted=True)
 
 
 def lebesgue_disintegration(n_cells: int, fiber_atoms: int,
                             exact: bool = False) -> Disintegration:
     """Discretized Lebesgue probability on [0,1] x T^1: every cell carries a
-    uniform fiber grid with total weight 1/N."""
+    uniform fiber grid with total weight 1/N; the float measure is the
+    exact one rounded once."""
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    if exact:
-        f = uniform_fiber(fiber_atoms, exact=True, weight_total=Fraction(1, n_cells))
-    else:
-        f = uniform_fiber(fiber_atoms, exact=False, weight_total=1.0 / n_cells)
-    return Disintegration.from_ids(np.zeros(n_cells), [f])
+    dis = Disintegration(
+        np.zeros(n_cells),
+        [uniform_fiber(fiber_atoms, weight_total=Fraction(1, n_cells))])
+    return dis if exact else dis.to_float()
 
 
 def product_disintegration(n_cells: int, fiber: FiberMeasure) -> Disintegration:
     """m (x) fiber: each cell carries fiber scaled by 1/N."""
-    if fiber.exact:
-        f = fiber.scale(Fraction(1, n_cells))
-    else:
-        f = fiber.scale(1.0 / n_cells)
-    return Disintegration.from_ids(np.zeros(n_cells), [f])
+    return Disintegration(np.zeros(n_cells),
+                          [fiber.scale(Fraction(1, n_cells))])
 
 
 # --------------------------------------------------------------------------
@@ -719,7 +699,7 @@ def coarsen(fm: FiberMeasure, eps) -> FiberMeasure:
 def coarsen_disintegration(dis: Disintegration, eps) -> Disintegration:
     if eps == 0:
         return dis
-    return Disintegration.from_ids(dis.ids, [coarsen(f, eps) for f in dis.table])
+    return Disintegration(dis.ids, [coarsen(f, eps) for f in dis.table])
 
 
 def piecewise_constant_approx(dis: Disintegration, eps) -> Disintegration:
@@ -737,6 +717,6 @@ def piecewise_constant_approx(dis: Disintegration, eps) -> Disintegration:
         if any(i != block[0] for i in block):
             for i in block[1:]:
                 acc = acc + dis.table[i]
-            acc = acc.scale(Fraction(1, s) if acc.exact else 1.0 / s)
+            acc = acc.scale(Fraction(1, s))
         out.append(acc)
-    return Disintegration.from_ids(np.repeat(np.arange(m), s), out)
+    return Disintegration(np.repeat(np.arange(m), s), out)

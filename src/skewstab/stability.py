@@ -83,6 +83,8 @@ class TabulatedRate:
 
     def __post_init__(self):
         xs, ys = np.asarray(self.xs, float), np.asarray(self.ys, float)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("phi table values must be finite")
         if len(xs) < 2 or np.any(np.diff(xs) <= 0):
             raise ValueError("xs must be strictly increasing")
         if np.any(np.diff(ys) >= 0) or np.any(ys <= 0):
@@ -255,7 +257,7 @@ class SweepTable:
 
 
 def _row_delta(ps: PerturbationSpec) -> float:
-    nd = getattr(ps, "nominal_delta", None)
+    nd = ps.nominal_delta
     return float(nd) if nd is not None else float(ps.declared_delta)
 
 
@@ -363,10 +365,10 @@ def prop_bahh_system(theta: AngleSpec, j: int,
     perturbed = SkewSystem(linear_base(2), fam_d)
 
     mu_ref = lebesgue_disintegration(n_cells, 2 * k, exact=True)
-    orbit = rotation_orbit_fiber(pert.p, pert.k, exact=True)
-    mu_orb = product_disintegration(n_cells, orbit)
+    mu_orb = product_disintegration(
+        n_cells, rotation_orbit_fiber(pert.p, pert.k))
     mu_rep = product_disintegration(
-        n_cells, rotation_orbit_fiber(pert.p, pert.k, exact=True,
+        n_cells, rotation_orbit_fiber(pert.p, pert.k,
                                       offset=Fraction(1, 2 * k)))
     declared = float(size) * (1.0 + deformation_scale)
     pspec = PerturbationSpec(
@@ -415,70 +417,47 @@ def _cos_sum_exact(res: np.ndarray, w: np.ndarray, q: int, r: int):
     return None
 
 
-def _term_value(fm, freq: int, exact: bool):
-    """integral of cos(2 pi freq y) against one fiber measure."""
-    if exact:
-        if len(fm) == 0:
-            return Fraction(0)
-        # phases freq * y mod 1 as integer residues over q, grouped
-        q = fm.q
-        res = (freq % q) * fm.positions % q
-        order = np.argsort(res, kind="stable")
-        res = res[order]
-        starts = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
-        res, w = res[starts], np.add.reduceat(fm.weights[order], starts)
-        val = _cos_sum_exact(res, w, q, fm.r)
-        if val is not None:
-            return val
-        # int / int true division rounds correctly, like float(Fraction)
-        return float(math.fsum(
-            (x / fm.r) * math.cos(2 * math.pi * (p / q))
-            for p, x in zip(res.tolist(), w.tolist())))
-    a = fm.to_float()
-    if len(a) == 0:
-        return 0.0
-    phase = np.mod(freq * a.positions, 1.0)
-    return float(np.dot(a.weights, np.cos(2 * np.pi * phase)))
+def _term_value(fm, freq: int):
+    """integral of cos(2 pi freq y) against one fiber measure, in the
+    fiber's own backend."""
+    if not fm.exact:
+        phase = np.mod(freq * fm.positions, 1.0)
+        return float(np.dot(fm.weights, np.cos(2 * np.pi * phase)))
+    if len(fm) == 0:
+        return Fraction(0)
+    # phases freq * y mod 1 as integer residues over q, grouped
+    q = fm.q
+    res = (freq % q) * fm.positions % q
+    order = np.argsort(res, kind="stable")
+    res = res[order]
+    starts = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
+    res, w = res[starts], np.add.reduceat(fm.weights[order], starts)
+    val = _cos_sum_exact(res, w, q, fm.r)
+    if val is not None:
+        return val
+    # int / int true division rounds correctly, like float(Fraction)
+    return float(math.fsum(
+        (x / fm.r) * math.cos(2 * math.pi * (p / q))
+        for p, x in zip(res.tolist(), w.tolist())))
 
 
-def prop30_observable_average(j_max_terms: int, dis: Disintegration,
-                              exact: bool | None = None):
+def prop30_observable_average(j_max_terms: int, dis: Disintegration):
     """integral of the lacunary cosine observable against dis, evaluated
-    term by term; phases are reduced mod 1 in rational arithmetic before
-    the cosine, so cancellations at magnitudes ~2^-32 are exact."""
+    term by term; on exact fibers phases are reduced mod 1 in rational
+    arithmetic before the cosine, so cancellations at magnitudes ~2^-32
+    are exact.  The sums stay Fractions until a float term appears."""
     if not 1 <= j_max_terms <= len(_OBS_TERMS):
         raise ValueError(
             f"j_max_terms must lie in 1..{len(_OBS_TERMS)}")
-    if exact is None:
-        exact = dis.exact
-    elif exact and not dis.exact:
-        raise ValueError("inexact atom positions with exactness requested")
-
-    distinct = dis.table
-    counts = np.bincount(dis.ids, minlength=len(distinct))
-    total = Fraction(0)
-    for i, freq, amp in _OBS_TERMS[:j_max_terms]:
-        term = Fraction(0)
-        for fm, c in zip(distinct, counts):
-            v = _term_value(fm, freq, exact)
-            if isinstance(v, Fraction) and isinstance(term, Fraction):
-                term = term + int(c) * v
-            else:
-                term = float(term) + int(c) * float(v)
-        if isinstance(term, Fraction) and isinstance(total, Fraction):
-            total = total + amp * term
-        else:
-            total = float(total) + float(amp) * float(term)
-    return total
+    counts = np.bincount(dis.ids, minlength=len(dis.table)).tolist()
+    return sum((amp * sum((c * _term_value(fm, freq)
+                           for fm, c in zip(dis.table, counts)), Fraction(0))
+                for _, freq, amp in _OBS_TERMS[:j_max_terms]), Fraction(0))
 
 
-def prop30_tail_bound(j_max_terms: int) -> Fraction:
-    """Sup-norm of the dropped terms beyond j_max_terms (all four
-    modeled terms minus the evaluated ones, plus the analytic remainder
-    of the full series, which is below 2^-2046)."""
-    tail = sum((amp for _, _, amp in _OBS_TERMS[j_max_terms:]),
-               Fraction(0))
-    return tail + Fraction(2, 2 ** 2048)
+# sup-norm of the observable's terms beyond the four modeled ones (the
+# analytic remainder of the full series is below 2^-2046)
+_PROP30_TAIL_BOUND = Fraction(2, 2 ** 2048)
 
 
 @dataclass(frozen=True)
@@ -514,15 +493,12 @@ def prop30_example(j: int) -> Prop30Report:
     pert = approximant_perturbation(theta, j)
     n_cells = 16
     mu_j = product_disintegration(
-        n_cells, rotation_orbit_fiber(pert.p, pert.k, exact=True))
+        n_cells, rotation_orbit_fiber(pert.p, pert.k))
     fm = mu_j.table[0]
-    terms = []
-    for idx, freq, amp in _OBS_TERMS:
-        v = _term_value(fm, freq, True)
-        # identical fibers across all cells
-        terms.append(amp * v * n_cells if isinstance(v, Fraction)
-                     else float(amp) * float(v) * n_cells)
-    value = prop30_observable_average(4, mu_j)
+    # identical fibers across all cells
+    terms = [amp * _term_value(fm, freq) * n_cells
+             for _, freq, amp in _OBS_TERMS]
+    value = sum(terms, Fraction(0))
 
     leb = _exact_dyadic_lebesgue()
     leb_value = prop30_observable_average(2, leb)
@@ -532,5 +508,5 @@ def prop30_example(j: int) -> Prop30Report:
     sqrt_delta = 0.9 * math.sqrt(abs(float(pert.delta)))
     return Prop30Report(
         j, pert.k, pert.delta, value, tuple(terms), leb_value,
-        prop30_tail_bound(4), half_amp, sqrt_delta,
+        _PROP30_TAIL_BOUND, half_amp, sqrt_delta,
         value >= half_amp, float(value) >= sqrt_delta)

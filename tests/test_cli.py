@@ -64,6 +64,32 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
+def test_bound_reads_phi_table(tmp_path, capsys):
+    table = tmp_path / "phi.json"
+    table.write_text('{"xs": [1, 2, 4], "ys": [1, 0.5, 0.25]}')
+    assert main(["bound", "--phi", f"table:{table}", "--M", "1", "--C", "1",
+                 "--eps", "0.01"]) == 0
+    assert float(capsys.readouterr().out) > 0
+
+
+@pytest.mark.parametrize("text", [
+    '{"xs": 5, "ys": [1, 0.5]}',
+    '{"xs": [1, 2], "ys": "ab"}',
+    '{"xs": [1, [2]], "ys": [1, 0.5]}',
+    '{"xs": [1, 2, 4], "ys": [1, NaN, 0.25]}',
+    '{"xs": [1, Infinity], "ys": [1, 0.5]}',
+    '[["xs", "ys"]]',
+], ids=["xs-int", "ys-string", "xs-nested", "ys-nan", "xs-inf", "not-object"])
+def test_bound_rejects_malformed_phi_table(tmp_path, capsys, text):
+    table = tmp_path / "phi.json"
+    table.write_text(text)
+    assert main(["bound", "--phi", f"table:{table}", "--M", "1", "--C", "1",
+                 "--eps", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_validate(doubling_path, capsys):
     assert main(["validate", "--config", doubling_path, "--N", "1024"]) == 0
     assert capsys.readouterr().out.strip() == "ok"
@@ -119,8 +145,10 @@ def test_norm_rejects_malformed_measure(doubling_path, tmp_path, capsys, text):
      "indicator must be a list"),
     ({"constants": {"ly_base": 5}}, "ly_base must be a list"),
     ({"constants": {"ly_base": ["NaN", 1]}}, "NaN"),
+    ({"fiber": {"kind": "translation", "theta": "golden", "A": -3}},
+     "A must lie in (0, 1/2]"),
 ], ids=["l-list", "l-fraction", "orbit-k-list", "indicator-int",
-        "ly-base-int", "ly-base-nan"])
+        "ly-base-int", "ly-base-nan", "fiber-a-negative"])
 def test_norm_rejects_malformed_system(tmp_path, capsys, doc, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(dict(DOUBLING_DOC, **doc)))
@@ -131,6 +159,8 @@ def test_norm_rejects_malformed_system(tmp_path, capsys, doc, message):
     captured = capsys.readouterr()
     assert "error:" in captured.err and message in captured.err
     assert captured.out == ""
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert message in capsys.readouterr().out
 
 
 def test_decay_artifacts(doubling_path, tmp_path, capsys):

@@ -124,7 +124,7 @@ def test_measure_round_trip_exact():
 
 def test_measure_round_trip_float():
     dis = Disintegration(
-        [FiberMeasure([(0.1,), (0.7,)], [0.3, -0.2]) for _ in range(2)])
+        [0, 0], [FiberMeasure([(0.1,), (0.7,)], [0.3, -0.2])])
     back = load_measure(save_measure(dis))
     assert not back.exact
     assert float(l1_norm(back - dis)) == pytest.approx(0.0, abs=1e-15)

@@ -308,13 +308,13 @@ def test_orbit_measure_exactly_invariant():
                            scale=4.0)
     sysb = SkewSystem(linear_base(2), fam)
     muj = product_disintegration(
-        64, rotation_orbit_fiber(pert.p, pert.k, exact=True))
+        64, rotation_orbit_fiber(pert.p, pert.k))
     out = transfer_step(sysb, muj, eps_f=0)
     assert float(l1_norm(out - muj)) == 0.0
     assert out.fibers[0].exact
     # the repelling copy (orbit shifted by half a period gap) is invariant too
     rep = product_disintegration(
-        64, rotation_orbit_fiber(pert.p, pert.k, exact=True,
+        64, rotation_orbit_fiber(pert.p, pert.k,
                                  offset=Fraction(1, 2 * pert.k)))
     outr = transfer_step(sysb, rep, eps_f=0)
     assert float(l1_norm(outr - rep)) == 0.0

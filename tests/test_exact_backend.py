@@ -154,7 +154,7 @@ def test_w1_matches_reference():
 
 def test_canonical_constructors():
     for n, total in ((1, F(1)), (12, F(1, 64)), (2 ** 10, F(3, 7))):
-        fm = uniform_fiber(n, exact=True, weight_total=total)
+        fm = uniform_fiber(n, weight_total=total)
         want = ref([(F(j, n), total / n) for j in range(n)])
         assert fm.atoms() == want
         assert fm.content_key() == build(want).content_key()
@@ -203,11 +203,11 @@ def test_term_value_residues_match_reference():
     for _, den, atoms in cases(8):
         fm = build(atoms)
         for freq in freqs:
-            assert _term_value(fm, freq, True) == \
+            assert _term_value(fm, freq) == \
                 _term_reference(ref(atoms), freq)
-    for fm in (uniform_fiber(2 ** 8, exact=True),
+    for fm in (uniform_fiber(2 ** 8),
                rotation_orbit_fiber(5, 12, offset=F(1, 24)),
-               uniform_fiber(6, exact=True).scale(F(1, 10 ** 60))):
+               uniform_fiber(6).scale(F(1, 10 ** 60))):
         for freq in freqs:
-            assert _term_value(fm, freq, True) == \
+            assert _term_value(fm, freq) == \
                 _term_reference(fm.atoms(), freq)

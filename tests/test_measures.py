@@ -131,9 +131,8 @@ def test_w1_exact_backend_returns_fractions():
 
 def test_w1_uniform_minus_orbit_closed_form():
     # 1/(4k) holds exactly when the finer count is an even multiple of k
-    assert w1_norm(uniform_fiber(64, exact=True)
-                   - uniform_fiber(4, exact=True)) == F(1, 16)
-    assert w1_norm(uniform_fiber(2048, exact=True)
+    assert w1_norm(uniform_fiber(64) - uniform_fiber(4)) == F(1, 16)
+    assert w1_norm(uniform_fiber(2048)
                    - rotation_orbit_fiber(1, 16)) == F(1, 64)
 
 
@@ -257,12 +256,12 @@ def test_l1_lebesgue_probability():
 
 def test_l1_zero_measure():
     zero = FiberMeasure([], [])
-    assert l1_norm(Disintegration([zero] * 8)) == 0.0
+    assert l1_norm(Disintegration([0] * 8, [zero])) == 0.0
 
 
 def test_l1_lebesgue_minus_uniform_orbit():
     diff = lebesgue_disintegration(32, 64, exact=True).scale(-1) + \
-        product_disintegration(32, uniform_fiber(4, exact=True))
+        product_disintegration(32, uniform_fiber(4))
     assert l1_norm(diff) == F(1, 16)
 
 
@@ -278,7 +277,7 @@ def test_oscillation_spike_example():
     n = 16
     f0 = FiberMeasure([[0.0]], [1.0])
     fh = FiberMeasure([[0.5]], [1.0])
-    dis = Disintegration([f0] + [fh] * (n - 1))
+    dis = Disintegration([0] + [1] * (n - 1), [f0, fh])
     assert oscillation(dis, 0, 2 / n) == pytest.approx(n * 0.5, abs=1e-9)
 
 
@@ -312,7 +311,7 @@ def test_oscillation_radius_errors():
 def single_jump(n: int) -> Disintegration:
     left = FiberMeasure([[0.0]], [1.0 / n])
     right = FiberMeasure([[0.5]], [1.0 / n])
-    return Disintegration([left] * (n // 2) + [right] * (n // 2))
+    return Disintegration([0] * (n // 2) + [1] * (n // 2), [left, right])
 
 
 def test_var_p_x_constant_zero():
@@ -365,7 +364,7 @@ def test_pbv_lebesgue():
 
 def test_pbv_zero():
     zero = FiberMeasure([], [])
-    rep = pbv_norm(Disintegration([zero] * 4), 1.0, 0.5)
+    rep = pbv_norm(Disintegration([0] * 4, [zero]), 1.0, 0.5)
     assert (rep.l1, rep.var_p, rep.pbv) == (0.0, 0.0, 0.0)
 
 
@@ -390,9 +389,8 @@ def test_pbv_dominates_l1_and_fiber_sup():
 
 def test_pbv_fiber_sup_bound_on_spike():
     n = 64
-    spike = [FiberMeasure([[0.25]], [1.0])] + \
-        [FiberMeasure([], [])] * (n - 1)
-    dis = Disintegration(spike)
+    dis = Disintegration([0] + [1] * (n - 1),
+                         [FiberMeasure([[0.25]], [1.0]), FiberMeasure([], [])])
     for p in (1.0, 0.5):
         rep = pbv_norm(dis, p, 0.5)
         assert n <= 0.5 ** (p - 1) * rep.pbv + 1e-9
@@ -411,7 +409,7 @@ def test_marginal_half_support():
     n = 16
     atom = FiberMeasure([[0.3]], [2.0 / n])
     empty = FiberMeasure([], [])
-    dis = Disintegration([atom] * (n // 2) + [empty] * (n // 2))
+    dis = Disintegration([0] * (n // 2) + [1] * (n // 2), [atom, empty])
     md = marginal_density(dis)
     assert md.values[: n // 2] == pytest.approx(np.full(n // 2, 2.0))
     assert md.values[n // 2:] == pytest.approx(np.zeros(n // 2))
@@ -443,7 +441,7 @@ def test_pc_approx_smoothing_inequalities():
     n = 64
     left = FiberMeasure([[0.0]], [1.0 / n])
     right = FiberMeasure([[0.5]], [1.0 / n])
-    dis = Disintegration([left] * 24 + [right] * (n - 24))
+    dis = Disintegration([0] * 24 + [1] * (n - 24), [left, right])
     eps = 1 / 4
     out = piecewise_constant_approx(dis, eps)
     v_in = var_p(dis, 1.0, 0.5)
@@ -467,11 +465,11 @@ def test_pc_approx_mass_and_errors():
 def test_disintegration_validation():
     fm1 = FiberMeasure([[0.1]], [1.0])
     with pytest.raises(ValueError, match="empty disintegration"):
-        Disintegration([])
+        Disintegration([], [])
     with pytest.raises(ValueError, match="out of range"):
-        Disintegration.from_ids([0, 1], [fm1])
+        Disintegration([0, 1], [fm1])
     with pytest.raises(ValueError, match="out of range"):
-        Disintegration.from_ids([-1, 0], [fm1])
+        Disintegration([-1, 0], [fm1])
 
 
 def _assert_packed(packed: Disintegration, cells: list) -> None:
@@ -483,7 +481,8 @@ def _assert_packed(packed: Disintegration, cells: list) -> None:
     assert len(set(keys)) == len(keys)
     assert list(dict.fromkeys(packed.ids.tolist())) == \
         list(range(len(packed.table)))
-    assert np.array_equal(Disintegration(cells).ids, packed.ids)
+    assert np.array_equal(Disintegration(range(len(cells)), cells).ids,
+                          packed.ids)
 
 
 def _block_average_reference(dis: Disintegration, m: int) -> list:
@@ -539,6 +538,15 @@ def test_packed_operations_match_per_cell_loop():
         for sys in systems:
             _assert_packed(transfer_step(sys, a, eps_f=2.0 ** -10),
                            _transfer_reference(sys, a, 2.0 ** -10))
+
+
+@pytest.mark.parametrize("n, m", [(81, 3), (243, 5), (3, 5), (100, 12),
+                                  (1024, 256), (64, 3), (27, 512), (1, 1)])
+def test_float_lebesgue_is_exact_rounded_once(n, m):
+    fm = lebesgue_disintegration(n, m).table[0]
+    exact = lebesgue_disintegration(n, m, exact=True).to_float().table[0]
+    assert fm.content_key() == exact.content_key()
+    assert fm.weights[0] == 1 / (n * m)
 
 
 def test_rotation_orbit_fiber_checks_gcd():

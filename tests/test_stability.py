@@ -290,7 +290,5 @@ def test_prop30_refusals():
     with pytest.raises(ValueError, match="refused"):
         prop30_example(3)
     ex = prop_bahh_system(lacunary_theta(3), 1)
-    with pytest.raises(ValueError, match="inexact atom positions"):
-        prop30_observable_average(2, ex.mu_orbit.to_float(), exact=True)
     with pytest.raises(ValueError, match="j_max_terms"):
         prop30_observable_average(5, ex.mu_orbit)
