@@ -22,8 +22,8 @@ from .batteries import unit_pbv_battery
 from .measures import (
     Disintegration,
     FiberMeasure,
-    coarsen,
     coarsen_disintegration,
+    combine_cells,
     l1_norm,
     lebesgue_disintegration,
     marginal_density,
@@ -44,7 +44,6 @@ __all__ = [
     "SkewSystem",
     "PerturbationSpec",
     "transfer_step",
-    "iterate",
     "InvariantResult",
     "invariant_measure",
     "LyReport",
@@ -195,40 +194,31 @@ def precomposed_base(l: int, sigma: SineShift) -> BaseMap:
 
 # ------------------------------------------------------------ fiber maps
 
-_BUMP_KNOTS = (Fraction(0), Fraction(1, 3), Fraction(1, 2),
-               Fraction(2, 3), Fraction(1))
-_BUMP_VALUES = (0.0, -1.0, 0.0, 1.0, 0.0)
-_BUMP_DERIVS = (-6.0, 0.0, 6.0, 0.0, -6.0)
-
-
-def _hermite_coeffs():
-    knots = np.array([float(t) for t in _BUMP_KNOTS])
-    vals = np.array(_BUMP_VALUES)
-    ders = np.array(_BUMP_DERIVS)
-    return knots, vals, ders
+# the bump's cubic Hermite knots, values and derivatives
+_KNOTS = np.array([0.0, 1 / 3, 1 / 2, 2 / 3, 1.0])
+_VALUES = np.array([0.0, -1.0, 0.0, 1.0, 0.0])
+_DERIVS = np.array([-6.0, 0.0, 6.0, 0.0, -6.0])
 
 
 def _hermite_eval(t: np.ndarray) -> np.ndarray:
-    knots, vals, ders = _hermite_coeffs()
-    seg = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, 3)
-    h = knots[seg + 1] - knots[seg]
-    s = (t - knots[seg]) / h
+    seg = np.clip(np.searchsorted(_KNOTS, t, side="right") - 1, 0, 3)
+    h = _KNOTS[seg + 1] - _KNOTS[seg]
+    s = (t - _KNOTS[seg]) / h
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s ** 2 * (3 - 2 * s)
     h11 = s ** 2 * (s - 1)
-    return (h00 * vals[seg] + h10 * h * ders[seg]
-            + h01 * vals[seg + 1] + h11 * h * ders[seg + 1])
+    return (h00 * _VALUES[seg] + h10 * h * _DERIVS[seg]
+            + h01 * _VALUES[seg + 1] + h11 * h * _DERIVS[seg + 1])
 
 
 def _hermite_max_abs_deriv() -> float:
     # derivative of each cubic segment is quadratic: check endpoints and
     # the interior critical point
-    knots, vals, ders = _hermite_coeffs()
     best = 0.0
     for i in range(4):
-        h = knots[i + 1] - knots[i]
-        v0, v1, d0, d1 = vals[i], vals[i + 1], ders[i], ders[i + 1]
+        h = _KNOTS[i + 1] - _KNOTS[i]
+        v0, v1, d0, d1 = _VALUES[i], _VALUES[i + 1], _DERIVS[i], _DERIVS[i + 1]
         # p'(s)/h in s-units: a s^2 + b s + c with
         a = 6 * (v0 - v1) / h + 3 * (d0 + d1)
         b = 6 * (v1 - v0) / h - 4 * d0 - 2 * d1
@@ -434,46 +424,21 @@ def transfer_step(sys: SkewSystem, dis: Disintegration,
                   eps_f: float | None = None) -> Disintegration:
     """One application of the transfer operator on the grid: output cell k
     sums its pieces' source fibers, each pushed by its source cell's fiber
-    map and scaled by the piece's fraction.  Cells whose rows of (source
-    fiber id, indicator flag, fraction code) are equal share one
-    combination."""
+    map and scaled by the piece's fraction.  Each used (source fiber id,
+    indicator flag) key is pushed once, and cells with equal rows of
+    (pushed fiber, fraction code) terms share one sum."""
     n = dis.n_cells
     sys.base.check_grid(n)
     if eps_f is None:
         eps_f = _default_eps(n)
     t = _pieces(sys.base, n)
     key = dis.ids[t.src] * 2 + _membership(sys.fiber, n)[t.src]
+    used, key = np.unique(key, return_inverse=True)
+    pushed = [sys.fiber.push(dis.table[k >> 1], k & 1) for k in used.tolist()]
     slot = np.arange(len(t.out)) - t.start[t.out]
-    rows = np.full((n, 2 * int(slot.max()) + 2), -1, dtype=np.int64)
-    rows[t.out, 2 * slot] = key
-    rows[t.out, 2 * slot + 1] = t.code
-    _, first, out_ids = np.unique(rows, axis=0, return_index=True,
-                                  return_inverse=True)
-
-    pushed: dict[int, FiberMeasure] = {}
-    key, code, start = key.tolist(), t.code.tolist(), t.start.tolist()
-    combos = []
-    for k in first.tolist():
-        fib = None
-        for i in range(start[k], start[k + 1]):
-            if key[i] not in pushed:
-                pushed[key[i]] = sys.fiber.push(dis.table[key[i] >> 1],
-                                                key[i] & 1)
-            part = pushed[key[i]].scale(t.fracs[code[i]])
-            fib = part if fib is None else fib + part
-        if eps_f:
-            fib = coarsen(fib, eps_f)
-        combos.append(fib)
-    return Disintegration(out_ids, combos)
-
-
-def iterate(sys: SkewSystem, dis: Disintegration, n: int,
-            eps_f: float | None = None) -> Disintegration:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    for _ in range(n):
-        dis = transfer_step(sys, dis, eps_f=eps_f)
-    return dis
+    terms = np.full((n, int(slot.max()) + 1), -1, dtype=np.int64)
+    terms[t.out, slot] = key * len(t.fracs) + t.code
+    return coarsen_disintegration(combine_cells(pushed, terms, t.fracs), eps_f)
 
 
 @dataclass(frozen=True)
@@ -509,7 +474,7 @@ def invariant_measure(sys: SkewSystem, tol: float = 1e-6, n_max: int = 200,
     steps = 0
     for n in range(1, n_max + 1):
         current = transfer_step(sys, current, eps_f=eps_f)
-        new_avg = avg.scale(n / (n + 1)) + current.scale(1 / (n + 1))
+        new_avg = avg.lincomb(n / (n + 1), current, 1 / (n + 1))
         new_avg = coarsen_disintegration(new_avg, eps_acc)
         increment = max(0.0, float(l1_norm(new_avg - avg)))
         avg = new_avg

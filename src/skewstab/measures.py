@@ -6,9 +6,11 @@ the fiber restrictions to the base cells [i/N,(i+1)/N) as an id per cell
 plus a table of content-distinct fibers numbered by first appearance, and
 Disintegration(ids, table) is its one constructor; algebra, coarsening
 and the norms work on the table and the id array, so their cost scales
-with the number of distinct fibers rather than N.  The built-in measures
-(uniform, rotation-orbit and Lebesgue) are built exact; their float form
-is the exact one rounded once.
+with the number of distinct fibers rather than N.  Every sum of scaled
+fibers goes through _combine, which combine_cells runs once per distinct
+row of per-cell terms.  The built-in measures (uniform, rotation-orbit
+and Lebesgue) are built exact; their float form is the exact one rounded
+once.
 
 The W1 norm here is the dual Lipschitz norm with the extra sup bound
 (|g| <= 1, Lip(g) <= 1), the flat norm of the circle, in one closed form
@@ -42,6 +44,7 @@ __all__ = [
     "marginal_density",
     "coarsen",
     "coarsen_disintegration",
+    "combine_cells",
     "piecewise_constant_approx",
     "uniform_fiber",
     "rotation_orbit_fiber",
@@ -203,27 +206,13 @@ class FiberMeasure:
     # -- algebra ----------------------------------------------------------
 
     def scale(self, s) -> "FiberMeasure":
-        if self.exact and _is_exact_scalar(s):
-            s = Fraction(s)
-            return _fiber(self.positions, self.weights * s.numerator,
-                          self.q, self.r * s.denominator, presorted=True)
-        a = self.to_float()
-        return _fiber(a.positions, a.weights * float(s), presorted=True)
+        return _combine([(self, s)])
 
     def __add__(self, other: "FiberMeasure") -> "FiberMeasure":
-        if self.exact and other.exact:
-            q, r = math.lcm(self.q, other.q), math.lcm(self.r, other.r)
-            return _fiber(
-                np.concatenate([self.positions * (q // self.q),
-                                other.positions * (q // other.q)]),
-                np.concatenate([self.weights * (r // self.r),
-                                other.weights * (r // other.r)]), q, r)
-        a, b = self.to_float(), other.to_float()
-        return _fiber(np.concatenate([a.positions, b.positions]),
-                      np.concatenate([a.weights, b.weights]))
+        return _combine([(self, 1), (other, 1)])
 
     def __sub__(self, other: "FiberMeasure") -> "FiberMeasure":
-        return self + other.scale(-1)
+        return _combine([(self, 1), (other, -1)])
 
     def translate(self, shift) -> "FiberMeasure":
         """Pushforward by the rotation y -> y + shift."""
@@ -243,6 +232,38 @@ class FiberMeasure:
             return a
         return _fiber(np.asarray(fn(a.positions), dtype=float).reshape(-1),
                       a.weights)
+
+
+def _times(values: np.ndarray, factor) -> np.ndarray:
+    return values if factor == 1 else values * factor
+
+
+def _combine(parts) -> FiberMeasure:
+    """Sum of s * fm over the (fm, s) pairs.
+
+    Exact when every fiber and coefficient is exact: one merge of the
+    numerators over common denominators.  Otherwise in floats: each scaled
+    part drops weights below 1e-15, and the parts merge one after another,
+    ((p1 + p2) + p3), because a float sum depends on the order (one
+    np.add.reduceat adds three coincident atoms as a + (b + c)).
+    """
+    if all(fm.exact and _is_exact_scalar(s) for fm, s in parts):
+        dens = [fm.r * Fraction(s).denominator for fm, s in parts]
+        q, r = math.lcm(*(fm.q for fm, _ in parts)), math.lcm(*dens)
+        pos = [_times(fm.positions, q // fm.q) for fm, _ in parts]
+        w = [_times(fm.weights, Fraction(s).numerator * (r // d))
+             for (fm, s), d in zip(parts, dens)]
+        return _fiber(np.concatenate(pos), np.concatenate(w), q, r,
+                      presorted=len(parts) == 1)
+    out = None
+    for fm, s in parts:
+        a = fm.to_float()
+        if s != 1:
+            a = _fiber(a.positions, a.weights * float(s), presorted=True)
+        out = a if out is None else _fiber(
+            np.concatenate((out.positions, a.positions)),
+            np.concatenate((out.weights, a.weights)))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -444,22 +465,19 @@ class Disintegration:
     def scale(self, s) -> "Disintegration":
         return Disintegration(self.ids, [f.scale(s) for f in self.table])
 
-    def _zip_op(self, other: "Disintegration", op) -> "Disintegration":
-        self._check_compatible(other)
-        pairs, inv = np.unique(np.stack([self.ids, other.ids], axis=1),
-                               axis=0, return_inverse=True)
-        return Disintegration(
-            inv, [op(self.table[a], other.table[b]) for a, b in pairs.tolist()])
-
-    def __add__(self, other: "Disintegration") -> "Disintegration":
-        return self._zip_op(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "Disintegration") -> "Disintegration":
-        return self._zip_op(other, lambda a, b: a - b)
-
-    def _check_compatible(self, other: "Disintegration") -> None:
+    def lincomb(self, a, other: "Disintegration", b) -> "Disintegration":
+        """a * self + b * other, summed once per distinct pair of ids."""
         if self.n_cells != other.n_cells:
             raise ValueError("incompatible disintegrations")
+        terms = np.stack([2 * self.ids, 2 * (other.ids + len(self.table)) + 1],
+                         axis=1)
+        return combine_cells(self.table + other.table, terms, (a, b))
+
+    def __add__(self, other: "Disintegration") -> "Disintegration":
+        return self.lincomb(1, other, 1)
+
+    def __sub__(self, other: "Disintegration") -> "Disintegration":
+        return self.lincomb(1, other, -1)
 
     def to_float(self) -> "Disintegration":
         return Disintegration(self.ids, [f.to_float() for f in self.table])
@@ -483,6 +501,17 @@ def _canonical(ids: np.ndarray, table: Sequence[FiberMeasure]
             out.append(f)
         remap[u] = j
     return remap[inv.reshape(-1)], tuple(out)
+
+
+def combine_cells(table: Sequence[FiberMeasure], terms: np.ndarray,
+                  coefs: Sequence) -> Disintegration:
+    """Cell i sums coefs[t % c] * table[t // c] over the entries t >= 0 of
+    row i of terms (c = len(coefs), -1 pads); equal rows share one sum."""
+    c = len(coefs)
+    rows, inv = np.unique(terms, axis=0, return_inverse=True)
+    return Disintegration(inv, [
+        _combine([(table[t // c], coefs[t % c]) for t in row if t >= 0])
+        for row in rows.tolist()])
 
 
 # -- constructors -----------------------------------------------------------
@@ -715,8 +744,7 @@ def piecewise_constant_approx(dis: Disintegration, eps) -> Disintegration:
     for block in dis.ids.reshape(m, s).tolist():
         acc = dis.table[block[0]]
         if any(i != block[0] for i in block):
-            for i in block[1:]:
-                acc = acc + dis.table[i]
-            acc = acc.scale(Fraction(1, s))
+            acc = _combine([(dis.table[i], 1) for i in block]).scale(
+                Fraction(1, s))
         out.append(acc)
     return Disintegration(np.repeat(np.arange(m), s), out)

@@ -66,8 +66,8 @@ class PowerLaw:
     alpha: float
 
     def __post_init__(self):
-        if self.C <= 0 or self.alpha <= 0:
-            raise ValueError("power law needs C > 0 and alpha > 0")
+        if not (0 < self.C < math.inf and 0 < self.alpha < math.inf):
+            raise ValueError("power law needs finite C > 0 and alpha > 0")
 
     def __call__(self, x: float) -> float:
         return self.C * float(x) ** (-self.alpha)
@@ -279,6 +279,8 @@ def stability_sweep(family: list, gamma: float,
     deltas = [_row_delta(ps) for ps in family]
     if len(set(deltas)) != len(deltas):
         raise ValueError("delta values must be distinct")
+    if not all(d > 0 for d in deltas):
+        raise ValueError("delta values must be positive")
     opts = pipeline or {}
 
     r0 = None

@@ -54,14 +54,26 @@ def test_bound_bad_phi(capsys):
     ["example", "prop-bahh", "--j", "1", "--scale", "nan"],
     ["sweep", "--config", str(ROOT / "configs" / "bahh_family.json"),
      "--gamma", "nan", "--out", "sweep.csv"],
+    ["bound", "--phi", "power:nan,1", "--M", "1", "--C", "1", "--eps", "0.01"],
+    ["bound", "--phi", "power:1,nan", "--M", "1", "--C", "1", "--eps", "0.01"],
+    ["bound", "--phi", "power:inf,1", "--M", "1", "--C", "1", "--eps", "0.01"],
 ], ids=["bound-M-nan", "bound-C-inf", "bound-eps-nan", "bound-M-inf",
-        "prop-bahh-scale-nan", "sweep-gamma-nan"])
+        "prop-bahh-scale-nan", "sweep-gamma-nan", "power-C-nan",
+        "power-alpha-nan", "power-C-inf"])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, args):
     assert main(args + ["--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec", ["power:nan,1", "power:1,nan",
+                                  "power:inf,1"])
+def test_bound_names_non_finite_power_law(capsys, spec):
+    assert main(["bound", "--phi", spec, "--M", "1", "--C", "1",
+                 "--eps", "0.01"]) == 2
+    assert "power law needs finite" in capsys.readouterr().err
 
 
 def test_bound_reads_phi_table(tmp_path, capsys):
@@ -218,6 +230,19 @@ def test_sweep_rejects_malformed_family(tmp_path, capsys, doc, message):
                  "--out", "sweep.csv"]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and message in captured.err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("deltas", [[0, 0.01], ["0", "1/64"]],
+                         ids=["float", "fraction"])
+def test_sweep_rejects_zero_delta(tmp_path, capsys, deltas):
+    doc = json.loads((ROOT / "configs" / "ladder_family.json").read_text())
+    p = tmp_path / "ladder.json"
+    p.write_text(json.dumps(dict(doc, deltas=deltas)))
+    assert main(["sweep", "--config", str(p), "--out-dir", str(tmp_path),
+                 "--out", "sweep.csv"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "positive" in captured.err
     assert not (tmp_path / "sweep.csv").exists()
 
 

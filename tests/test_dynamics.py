@@ -24,7 +24,6 @@ from skewstab.dynamics import (
     deformation_family,
     identity_family,
     invariant_measure,
-    iterate,
     linear_base,
     ly_check,
     operator_distance,
@@ -101,16 +100,10 @@ def test_mass_positivity_marginal_on_battery():
 
 
 def test_x_constant_structure_preserved():
-    dis = lebesgue_disintegration(64, 32)
-    out = iterate(doubling_system(), dis, 3)
+    out = lebesgue_disintegration(64, 32)
+    for _ in range(3):
+        out = transfer_step(doubling_system(), out)
     assert len(out.table) == 1
-
-
-def test_iterate_matches_repeated_steps():
-    dis = signed_disintegrations(9, 1, 64)[0]
-    a = iterate(doubling_system(), dis, 2)
-    b = transfer_step(doubling_system(), transfer_step(doubling_system(), dis))
-    assert float(l1_norm(a - b)) == 0.0
 
 
 def test_weak_norm_contraction():

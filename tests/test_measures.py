@@ -16,6 +16,7 @@ from skewstab.arithmetic import golden_angle
 from skewstab.dynamics import (
     SineShift,
     SkewSystem,
+    identity_family,
     linear_base,
     precomposed_base,
     transfer_step,
@@ -39,7 +40,7 @@ from skewstab.measures import (
     var_p,
     w1_norm,
 )
-from skewstab.measures import _w1_flat
+from skewstab.measures import _combine, _w1_flat
 
 
 def dipole(a: float, b: float) -> FiberMeasure:
@@ -531,6 +532,9 @@ def test_packed_operations_match_per_cell_loop():
         _assert_packed(a.scale(0.0), [f.scale(0.0) for f in a.fibers])
         _assert_packed(a + b, [f + g for f, g in zip(a.fibers, b.fibers)])
         _assert_packed(a - b, [f - g for f, g in zip(a.fibers, b.fibers)])
+        _assert_packed(a.lincomb(0.3, b, -1.7),
+                       [f.scale(0.3) + g.scale(-1.7)
+                        for f, g in zip(a.fibers, b.fibers)])
         _assert_packed(coarsen_disintegration(a, 1 / 8),
                        [coarsen(f, 1 / 8) for f in a.fibers])
         _assert_packed(piecewise_constant_approx(a, 1 / 4),
@@ -538,6 +542,34 @@ def test_packed_operations_match_per_cell_loop():
         for sys in systems:
             _assert_packed(transfer_step(sys, a, eps_f=2.0 ** -10),
                            _transfer_reference(sys, a, 2.0 ** -10))
+    # an exact pair stays exact; an exact-float pair is summed in floats
+    a = Disintegration([0, 1, 1, 0], [uniform_fiber(4),
+                                      rotation_orbit_fiber(1, 3, F(1, 8))])
+    b = Disintegration([1, 0, 1, 1], [uniform_fiber(2, F(1, 2)),
+                                      rotation_orbit_fiber(2, 5)])
+    for other, first in ((b, a), (b.to_float(), a.to_float())):
+        out = a.lincomb(F(2, 3), other, F(-5, 7))
+        assert all(f.exact == (other is b) for f in out.table)
+        _assert_packed(out, [f.scale(F(2, 3)) + g.scale(F(-5, 7))
+                             for f, g in zip(first.fibers, other.fibers)])
+
+
+def test_combine_adds_left_to_right_like_the_pairwise_chain():
+    # np.add.reduceat would add three coincident atoms as a + (b + c)
+    one = FiberMeasure([[0.5]], [1.0])
+    assert _combine([(one, 0.1), (one, 0.2), (one, 0.3)]).weights.tolist() \
+        == [(0.1 + 0.2) + 0.3]
+    # 1 - (1 - 2^-52) falls below 1e-15 and is dropped before 0.1 is added
+    assert _combine([(one, 1.0), (one, -(1.0 - 2.0 ** -52)),
+                     (one, 0.1)]).weights.tolist() == [0.1]
+    # an x-independent fiber map on a precomposed base: three pieces of
+    # one cell can carry coincident atoms
+    system = SkewSystem(precomposed_base(2, SineShift(0.01)),
+                        identity_family())
+    for dis in [lebesgue_disintegration(16, 8)] + \
+            positive_disintegrations(11, 2, 16):
+        _assert_packed(transfer_step(system, dis, eps_f=2.0 ** -10),
+                       _transfer_reference(system, dis, 2.0 ** -10))
 
 
 @pytest.mark.parametrize("n, m", [(81, 3), (243, 5), (3, 5), (100, 12),
