@@ -2,8 +2,10 @@
 physical measure is an attracting period-16 orbit product.
 
 Confirms that the generic Ulam-type pipeline lands on the known exact
-measure: distance below 4/N at N = 1024 in a few thousand averaged
-steps (about 15 s).
+measure: distance below 4/N at N = 1024 after 2663 averaged steps, in
+about 4 to 6 s (1.6 to 2.3 ms per step) on a shared 2-core x86 machine
+with Python 3.11 and numpy 2.4.  Prints the step count, the wall time and the time per
+step.
 """
 
 import argparse
@@ -30,8 +32,10 @@ def main() -> None:
     dt = time.perf_counter() - t0
     dist = float(l1_norm(res.measure - ex.mu_orbit.to_float()))
 
+    ms = 1000 * dt / max(res.n_steps, 1)
     print(f"converged: {res.converged} after {res.n_steps} steps "
-          f"({dt:.1f}s), last increment {res.last_increment:.2e}")
+          f"({dt:.1f}s, {ms:.2f} ms per step), "
+          f"last increment {res.last_increment:.2e}")
     print(f"distance to the exact orbit measure: {dist:.6f} "
           f"(threshold 4/N = {4.0 / args.N:.6f})")
     print(f"closed-form distance to the unperturbed invariant measure: "

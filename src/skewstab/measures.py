@@ -77,6 +77,17 @@ def _reduce(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return (nums // g, den // g) if g > 1 else (nums, den)
 
 
+def _merge_runs(pos: np.ndarray, w: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted positions with the weights of equal neighbours added by one
+    np.add.reduceat."""
+    fresh = pos[1:] != pos[:-1]
+    if fresh.all():
+        return pos, w
+    starts = np.flatnonzero(np.concatenate(([True], fresh)))
+    return pos[starts], np.add.reduceat(w, starts)
+
+
 def _fiber(pos: np.ndarray, w: np.ndarray, q: int | None = None,
            r: int | None = None, presorted: bool = False) -> "FiberMeasure":
     out = FiberMeasure.__new__(FiberMeasure)
@@ -144,11 +155,7 @@ class FiberMeasure:
                 pos[pos >= 1.0] = 0.0
             if len(pos) > 1:
                 order = np.argsort(pos, kind="stable")
-                pos, w = pos[order], w[order]
-                fresh = pos[1:] != pos[:-1]
-                if not fresh.all():
-                    starts = np.flatnonzero(np.concatenate(([True], fresh)))
-                    pos, w = pos[starts], np.add.reduceat(w, starts)
+                pos, w = _merge_runs(pos[order], w[order])
         keep = w != 0 if exact else np.abs(w) >= _DROP_TOL
         if not keep.all():
             pos, w = pos[keep], w[keep]
@@ -168,12 +175,12 @@ class FiberMeasure:
     def mass(self):
         if self.exact:
             return Fraction(sum(self.weights.tolist()), self.r)
-        return float(math.fsum(self.weights))
+        return math.fsum(self.weights.tolist())
 
     def abs_mass(self):
         if self.exact:
             return Fraction(sum(np.abs(self.weights).tolist()), self.r)
-        return float(math.fsum(np.abs(self.weights)))
+        return math.fsum(np.abs(self.weights).tolist())
 
     def content_key(self):
         if self._key is None:
@@ -245,7 +252,9 @@ def _combine(parts) -> FiberMeasure:
     numerators over common denominators.  Otherwise in floats: each scaled
     part drops weights below 1e-15, and the parts merge one after another,
     ((p1 + p2) + p3), because a float sum depends on the order (one
-    np.add.reduceat adds three coincident atoms as a + (b + c)).
+    np.add.reduceat adds three coincident atoms as a + (b + c)).  Two
+    parts on the same positions add elementwise, the o_i + a_i that
+    the merge of their concatenation computes.
     """
     if all(fm.exact and _is_exact_scalar(s) for fm, s in parts):
         dens = [fm.r * Fraction(s).denominator for fm, s in parts]
@@ -260,9 +269,14 @@ def _combine(parts) -> FiberMeasure:
         a = fm.to_float()
         if s != 1:
             a = _fiber(a.positions, a.weights * float(s), presorted=True)
-        out = a if out is None else _fiber(
-            np.concatenate((out.positions, a.positions)),
-            np.concatenate((out.weights, a.weights)))
+        if out is None:
+            out = a
+        elif np.array_equal(out.positions, a.positions):
+            out = _fiber(a.positions, out.weights + a.weights,
+                         presorted=True)
+        else:
+            out = _fiber(np.concatenate((out.positions, a.positions)),
+                         np.concatenate((out.weights, a.weights)))
     return out
 
 
@@ -298,12 +312,13 @@ def _signed_mass(fm: FiberMeasure):
     near-balanced float fiber, |mass| <= 1e-12 |weights|_1."""
     if fm.exact:
         return sum(fm.weights.tolist())
-    m = math.fsum(fm.weights)
+    m = math.fsum(fm.weights.tolist())
     return 0.0 if abs(m) <= _BALANCE_RTOL * fm.abs_mass() else m
 
 
-def _w1_flat(fm: FiberMeasure):
-    """Flat norm on the circle from the numerator arrays, both backends.
+def _w1_flat(fm: FiberMeasure, m):
+    """Flat norm on the circle from the numerator arrays, both backends,
+    given m = _signed_mass(fm).
 
     Q are the prefix sums, g the arcs (the last one wraps) and m >= 0 the
     mass (the weights negated otherwise).  A balanced fiber costs
@@ -317,7 +332,6 @@ def _w1_flat(fm: FiberMeasure):
     """
     prefix = np.cumsum(fm.weights)
     gaps = np.diff(fm.positions, append=fm.positions[0] + fm.q)
-    m = _signed_mass(fm)
     if m == 0:
         best = np.dot(gaps, np.abs(prefix - _lower_median(prefix, gaps)))
     else:
@@ -403,10 +417,10 @@ def w1_norm(fm: FiberMeasure, *, method: str = "auto"):
     # weights are never zero, so this is the single-signed test
     if not (fm.weights < 0).any() or not (fm.weights > 0).any():
         return abs(fm.mass())
-    if (not fm.exact and len(fm) > _FLAT_MAX_FLOAT_ATOMS
-            and _signed_mass(fm) != 0):
+    m = _signed_mass(fm)
+    if not fm.exact and len(fm) > _FLAT_MAX_FLOAT_ATOMS and m != 0:
         return _w1_highs(fm)
-    return _w1_flat(fm)
+    return _w1_flat(fm, m)
 
 
 # --------------------------------------------------------------------------
@@ -465,13 +479,15 @@ class Disintegration:
     def scale(self, s) -> "Disintegration":
         return Disintegration(self.ids, [f.scale(s) for f in self.table])
 
-    def lincomb(self, a, other: "Disintegration", b) -> "Disintegration":
-        """a * self + b * other, summed once per distinct pair of ids."""
+    def lincomb(self, a, other: "Disintegration", b,
+                eps=0) -> "Disintegration":
+        """a * self + b * other, summed once per distinct pair of ids and
+        snapped to the eps-grid (eps = 0: not snapped)."""
         if self.n_cells != other.n_cells:
             raise ValueError("incompatible disintegrations")
         terms = np.stack([2 * self.ids, 2 * (other.ids + len(self.table)) + 1],
                          axis=1)
-        return combine_cells(self.table + other.table, terms, (a, b))
+        return combine_cells(self.table + other.table, terms, (a, b), eps)
 
     def __add__(self, other: "Disintegration") -> "Disintegration":
         return self.lincomb(1, other, 1)
@@ -504,14 +520,23 @@ def _canonical(ids: np.ndarray, table: Sequence[FiberMeasure]
 
 
 def combine_cells(table: Sequence[FiberMeasure], terms: np.ndarray,
-                  coefs: Sequence) -> Disintegration:
+                  coefs: Sequence, eps) -> Disintegration:
     """Cell i sums coefs[t % c] * table[t // c] over the entries t >= 0 of
-    row i of terms (c = len(coefs), -1 pads); equal rows share one sum."""
+    row i of terms (c = len(coefs), -1 pads), snapped to the eps-grid by
+    coarsen; equal rows share one sum.
+
+    Rows are grouped by a 1-D np.unique over an np.void view of each
+    int64 row; the order of the groups does not matter, since the table
+    is renumbered by first appearance."""
     c = len(coefs)
-    rows, inv = np.unique(terms, axis=0, return_inverse=True)
+    terms = np.ascontiguousarray(terms, dtype=np.int64)
+    keys = terms.view(np.dtype((np.void, terms.itemsize * terms.shape[1])))
+    _, first, inv = np.unique(keys.reshape(-1), return_index=True,
+                              return_inverse=True)
     return Disintegration(inv, [
-        _combine([(table[t // c], coefs[t % c]) for t in row if t >= 0])
-        for row in rows.tolist()])
+        coarsen(_combine([(table[t // c], coefs[t % c])
+                          for t in row if t >= 0]), eps)
+        for row in terms[first].tolist()])
 
 
 # -- constructors -----------------------------------------------------------
@@ -722,7 +747,13 @@ def coarsen(fm: FiberMeasure, eps) -> FiberMeasure:
         raise ValueError("eps must lie in (0, 1)")
     if len(fm) == 0:
         return fm
-    return _fiber(np.floor(fm.positions / e) * e, fm.weights)
+    # floor(p / e) * e is monotone, so the sorted positions stay sorted
+    # and only equal neighbours merge; when e is not a power of two the
+    # last one can round up to 1.0 and needs the full reduction mod 1
+    pos = np.floor(fm.positions / e) * e
+    if pos[-1] >= 1.0:
+        return _fiber(pos, fm.weights)
+    return _fiber(*_merge_runs(pos, fm.weights), presorted=True)
 
 
 def coarsen_disintegration(dis: Disintegration, eps) -> Disintegration:

@@ -290,6 +290,42 @@ def test_bump_shape():
     assert np.all(np.diff(im) > 0)
 
 
+def _bump_reference(bump: OrbitBump, y: np.ndarray):
+    """(g(y), bump(y)) by the np.mod / np.clip / fancy-index formula."""
+    knots = np.array([0.0, 1 / 3, 1 / 2, 2 / 3, 1.0])
+    values = np.array([0.0, -1.0, 0.0, 1.0, 0.0])
+    derivs = np.array([-6.0, 0.0, 6.0, 0.0, -6.0])
+    t = np.mod(np.asarray(y, dtype=float) * bump.orbit_k, 1.0)
+    seg = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, 3)
+    h = knots[seg + 1] - knots[seg]
+    s = (t - knots[seg]) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s ** 2 * (3 - 2 * s)
+    h11 = s ** 2 * (s - 1)
+    g = (h00 * values[seg] + h10 * h * derivs[seg]
+         + h01 * values[seg + 1] + h11 * h * derivs[seg + 1])
+    return g, np.mod(y + bump.strength * g, 1.0)
+
+
+def test_bump_bits_match_mod_formula():
+    rng = np.random.default_rng(71)
+    edge = np.array([-0.0, 0.0, 1.0, -1.0, 3.0, -7.0, 2.0 ** -60,
+                     -2.0 ** -60, 1 - 2.0 ** -53, -1e-20, 0.5 - 2.0 ** -54,
+                     1 / 3, 2 / 3, 1 / 32, 2.0 ** 53])
+    ys = np.concatenate((edge, rng.random(4096), rng.uniform(-3, 3, 1024),
+                         np.arange(4096) / 4096))
+    for bump in (OrbitBump(16, 2.0 ** -14), OrbitBump(3, 0.01),
+                 OrbitBump(5, 0.0)):
+        g_ref, im_ref = _bump_reference(bump, ys)
+        assert (bump.g(ys).view(np.int64) == g_ref.view(np.int64)).all()
+        assert (bump(ys).view(np.int64) == im_ref.view(np.int64)).all()
+        # the edge inputs reach the image 1.0, and -0.0 and the integers
+        # map to +0.0
+        assert (im_ref[:len(edge)] == 1.0).any()
+        assert (im_ref[:5].view(np.int64) == 0).all()
+
+
 def test_bump_refuses_non_injective_strength():
     with pytest.raises(ValueError, match="injective"):
         OrbitBump(16, 0.5)

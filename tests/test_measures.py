@@ -28,6 +28,7 @@ from skewstab.measures import (
     FiberMeasure,
     coarsen,
     coarsen_disintegration,
+    combine_cells,
     l1_norm,
     lebesgue_disintegration,
     marginal_density,
@@ -40,7 +41,7 @@ from skewstab.measures import (
     var_p,
     w1_norm,
 )
-from skewstab.measures import _combine, _w1_flat
+from skewstab.measures import _combine, _signed_mass, _w1_flat
 
 
 def dipole(a: float, b: float) -> FiberMeasure:
@@ -150,7 +151,8 @@ def test_w1_flat_matches_pairwise_lp_1000_fibers():
         elif k % 3 == 2:
             w -= rng.uniform(0, 2)
         fm = FiberMeasure(rng.random(n), w)
-        worst = max(worst, abs(_w1_flat(fm) - pairwise_lp_w1(fm)))
+        worst = max(worst, abs(_w1_flat(fm, _signed_mass(fm))
+                                - pairwise_lp_w1(fm)))
     assert worst <= 1e-9
 
 
@@ -167,7 +169,7 @@ def test_w1_flat_equals_exact_tableau():
         fm = FiberMeasure(pos, w)
         if len(fm) == 0:
             continue
-        value = _w1_flat(fm)
+        value = _w1_flat(fm, _signed_mass(fm))
         assert isinstance(value, F)
         assert value == w1_norm(fm, method="lp"), (pos, w)
         checked += 1
@@ -206,8 +208,8 @@ def small_alternating_fiber() -> FiberMeasure:
 
 
 def test_w1_flat_small_scale_large_fiber():
-    assert _w1_flat(small_alternating_fiber()) == pytest.approx(5.0e-9,
-                                                                rel=1e-9)
+    fm = small_alternating_fiber()
+    assert _w1_flat(fm, _signed_mass(fm)) == pytest.approx(5.0e-9, rel=1e-9)
 
 
 @pytest.mark.xfail(strict=True, reason="scipy's HiGHS, still used for "
@@ -247,6 +249,85 @@ def test_coarsen_w1_perturbation_bound():
     eps = 1 / 256
     out = coarsen(fm, eps)
     assert abs(w1_norm(out) - w1_norm(fm)) <= eps * fm.abs_mass() + 1e-9
+
+
+def _bits(fm: FiberMeasure) -> tuple:
+    return (fm.positions.view(np.int64).tolist(),
+            fm.weights.view(np.int64).tolist())
+
+
+@pytest.mark.parametrize("eps", [1 / 324, 2.0 ** -8])
+def test_float_coarsen_equals_the_full_reduction(eps):
+    # the snapped positions stay sorted, so coarsen only merges equal
+    # neighbours; at eps = 1/324 the atom at 1 - 2^-53 snaps to 1.0 and
+    # must wrap to 0 like the full reduction (mod 1, argsort, merge)
+    rng = np.random.default_rng(79)
+    fibers = [FiberMeasure(rng.random(n), rng.uniform(-1, 1, n))
+              for n in (1, 2, 50, 2048)]
+    fibers.append(FiberMeasure([0.0, 0.25, 0.5, 1 - 2.0 ** -53],
+                               [0.25, -0.5, 1.0, 0.125]))
+    # two atoms of one bin whose sum falls below 1e-15
+    fibers.append(FiberMeasure([0.1, 0.1 + 1e-9, 0.7],
+                               [1e-3, -1e-3 * (1 + 2.0 ** -52), 1.0]))
+    for fm in fibers:
+        ref = FiberMeasure(np.floor(fm.positions / eps) * eps, fm.weights)
+        assert _bits(coarsen(fm, eps)) == _bits(ref)
+    assert len(coarsen(fibers[-1], eps)) == 1
+    wraps = np.floor((1 - 2.0 ** -53) / eps) * eps >= 1.0
+    assert wraps == (eps == 1 / 324)
+
+
+def test_combine_on_one_grid_equals_the_concatenated_merge():
+    rng = np.random.default_rng(83)
+    grid = np.sort(rng.random(64))
+    a = FiberMeasure(grid, rng.uniform(-1, 1, 64))
+    w = rng.uniform(-1, 1, 64)
+    w[5] = -a.weights[5]
+    w[9] = -a.weights[9] * (1 + 2.0 ** -52)
+    assert 0 < abs(a.weights[9] + w[9]) < 1e-15
+    b = FiberMeasure(grid, w)
+    off = grid.copy()
+    off[3] = np.nextafter(off[3], 1.0)
+    c = FiberMeasure(off, w)
+    for x, s, y in [(a, 1, b), (a, -1, b), (a, 0.3, b), (b, -1, b),
+                    (a, 1, c)]:
+        ys = FiberMeasure(y.positions, y.weights * float(s))
+        ref = FiberMeasure(np.concatenate((x.positions, ys.positions)),
+                           np.concatenate((x.weights, ys.weights)))
+        assert _bits(_combine([(x, 1), (y, s)])) == _bits(ref)
+    # the exact and the sub-1e-15 cancellations both drop their atom
+    assert len(a + b) == 62
+    assert len(b - b) == 0
+
+
+def _cell_keys_by_unique_rows(table, terms, coefs, eps) -> list:
+    c = len(coefs)
+    rows, inv = np.unique(terms, axis=0, return_inverse=True)
+    sums = [coarsen(_combine([(table[t // c], coefs[t % c])
+                              for t in row if t >= 0]), eps)
+            for row in rows.tolist()]
+    return [sums[i].content_key() for i in inv.reshape(-1).tolist()]
+
+
+def test_combine_cells_groups_rows_like_unique_axis0():
+    rng = np.random.default_rng(89)
+    table = []
+    for n in rng.integers(1, 40, 6).tolist():
+        table.append(FiberMeasure(rng.random(n), rng.uniform(-1, 1, n)))
+    coefs = (0.5, 0.25, -1 / 3)
+    for n in (1, 7, 64, 1024):
+        for width in range(1, 5):
+            pool = rng.integers(0, len(table) * len(coefs),
+                                (max(1, n // 8), width))
+            # -1 pads trailing slots; every row keeps its first term
+            pad = rng.integers(1, width + 1, len(pool))
+            pool[np.arange(width)[None, :] >= pad[:, None]] = -1
+            terms = pool[rng.integers(0, len(pool), n)]
+            for eps in (0, 2.0 ** -7):
+                want = _cell_keys_by_unique_rows(table, terms, coefs, eps)
+                for layout in (terms, np.asfortranarray(terms)):
+                    out = combine_cells(table, layout, coefs, eps)
+                    assert [f.content_key() for f in out.fibers] == want
 
 
 # ---------------------------------------------------------------- l1_norm
