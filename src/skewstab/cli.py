@@ -268,12 +268,12 @@ def _cmd_invariant(args) -> int:
     _write_meta(args, out, "invariant", resolved,
                 extra={"converged": res.converged,
                        "n_steps": res.n_steps,
-                       "last_increment": res.last_increment,
+                       "residual": res.residual,
                        "mass_drift": res.mass_drift},
                 partial=not res.converged)
     if not res.converged and not args.allow_partial:
         print(f"invariant: no convergence in {res.n_steps} steps "
-              f"(last increment {res.last_increment:.3g})", file=sys.stderr)
+              f"(residual {res.residual:.3g})", file=sys.stderr)
         return 3
     return 0
 

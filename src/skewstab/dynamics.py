@@ -453,7 +453,7 @@ class InvariantResult:
     measure: Disintegration
     converged: bool
     n_steps: int
-    last_increment: float
+    residual: float
     mass_drift: float
     renormalized: bool
 
@@ -461,38 +461,36 @@ class InvariantResult:
 def invariant_measure(sys: SkewSystem, tol: float = 1e-6, n_max: int = 200,
                       eps_f: float | None = None, n_cells: int = 1024,
                       fiber_atoms: int = 256) -> InvariantResult:
-    """Cesaro averages of transfer iterates from discretized Lebesgue.
+    """Transfer iterates mu <- L mu from discretized Lebesgue, stopped on
+    their own residual.
 
-    The running average is accumulated on a 1/(4N) grid (eps_acc) so its
-    atom count stays bounded over long runs; this moves the reported
-    average by at most eps_acc in the fiberwise-W1 norm.
+    Step n computes L mu and the residual l1_norm(L mu - mu) of the
+    current mu; the loop stops once that residual is below tol or after
+    n_max steps, and returns the mu whose residual was measured.  So
+    converged means l1_norm(L mu - mu) < tol for the returned measure,
+    and residual is that number (math.inf when n_max = 0), unless the
+    mass drift exceeded 1e-9 and the measure was renormalized.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     sys.require_domination()
-    start = lebesgue_disintegration(n_cells, fiber_atoms)
-    eps_acc = _default_eps(n_cells)
-
-    current = start
-    avg = start
-    increment = math.inf
+    mu = lebesgue_disintegration(n_cells, fiber_atoms)
+    residual = math.inf
     steps = 0
-    for n in range(1, n_max + 1):
-        current = transfer_step(sys, current, eps_f=eps_f)
-        new_avg = avg.lincomb(n / (n + 1), current, 1 / (n + 1), eps_acc)
-        increment = max(0.0, float(l1_norm(new_avg - avg)))
-        avg = new_avg
-        steps = n
-        if increment < tol:
+    while steps < n_max:
+        nxt = transfer_step(sys, mu, eps_f=eps_f)
+        residual = float(l1_norm(nxt - mu))
+        steps += 1
+        if residual < tol or steps == n_max:
             break
-    drift = float(avg.mass()) - 1.0
+        mu = nxt
+    drift = float(mu.mass()) - 1.0
     renorm = abs(drift) > 1e-9
     if renorm:
-        avg = avg.scale(1.0 / (1.0 + drift))
-    return InvariantResult(avg, increment < tol, steps, increment,
-                           drift, renorm)
+        mu = mu.scale(1.0 / (1.0 + drift))
+    return InvariantResult(mu, residual < tol, steps, residual, drift, renorm)
 
 
 # -------------------------------------------------------------- LY checks

@@ -53,9 +53,6 @@ __all__ = [
 ]
 
 _DROP_TOL = 1e-15
-# unbalanced float fibers with more atoms than this still go to scipy's
-# HiGHS: criterion 7 only converges on its false zeros (ROADMAP item 2)
-_FLAT_MAX_FLOAT_ATOMS = 96
 _BALANCE_RTOL = 1e-12
 
 
@@ -359,27 +356,6 @@ def _w1_flat(fm: FiberMeasure, m):
     return float(m + best)
 
 
-def _w1_highs(fm: FiberMeasure) -> float:
-    """The capped-Lipschitz dual LP by scipy's HiGHS, constraining only
-    cyclic neighbours (chaining along either arc gives every pair)."""
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    n = len(fm)
-    d = np.abs(np.diff(fm.positions, append=fm.positions[0]))
-    i = np.arange(n)
-    cols = np.stack([i, (i + 1) % n, i, (i + 1) % n], axis=1).reshape(-1)
-    A = sparse.coo_matrix((np.tile([1.0, -1.0, -1.0, 1.0], n),
-                           (np.repeat(np.arange(2 * n), 2), cols)),
-                          shape=(2 * n, n))
-    res = linprog(-fm.weights, A_ub=A.tocsc(),
-                  b_ub=np.repeat(np.minimum(d, 1 - d), 2),
-                  bounds=(-1.0, 1.0), method="highs")
-    if not res.success:
-        raise RuntimeError(f"linprog failed: {res.message}")
-    return float(-res.fun)
-
-
 def _w1_tableau(fm: FiberMeasure):
     """The same LP by the exact tableau over the atoms' exact values, the
     method="lp" reference; float fibers convert through Fraction and get
@@ -403,10 +379,11 @@ def w1_norm(fm: FiberMeasure, *, method: str = "auto"):
     """Dual norm sup { integral g d(fm) : |g| <= 1, Lip(g) <= 1 } on the
     circle (the flat norm).
 
-    method: "auto" evaluates the closed form (exact fibers give
-    Fractions), "lp" the exact tableau.  Near-balanced float fibers count
-    as balanced, an error <= 2|mass|.  Unbalanced float fibers of more
-    than 96 atoms still go to scipy's HiGHS.
+    method: "auto" evaluates the closed form at every size and scale
+    (exact fibers give Fractions), "lp" the exact tableau.  Near-balanced
+    float fibers count as balanced, an error <= 2|mass|; there is no
+    solver tolerance, so a small l1_norm (such as the residual that
+    invariant_measure stops on) is never a false zero.
     """
     if len(fm) == 0:
         return Fraction(0) if fm.exact else 0.0
@@ -417,10 +394,7 @@ def w1_norm(fm: FiberMeasure, *, method: str = "auto"):
     # weights are never zero, so this is the single-signed test
     if not (fm.weights < 0).any() or not (fm.weights > 0).any():
         return abs(fm.mass())
-    m = _signed_mass(fm)
-    if not fm.exact and len(fm) > _FLAT_MAX_FLOAT_ATOMS and m != 0:
-        return _w1_highs(fm)
-    return _w1_flat(fm, m)
+    return _w1_flat(fm, _signed_mass(fm))
 
 
 # --------------------------------------------------------------------------
@@ -479,15 +453,13 @@ class Disintegration:
     def scale(self, s) -> "Disintegration":
         return Disintegration(self.ids, [f.scale(s) for f in self.table])
 
-    def lincomb(self, a, other: "Disintegration", b,
-                eps=0) -> "Disintegration":
-        """a * self + b * other, summed once per distinct pair of ids and
-        snapped to the eps-grid (eps = 0: not snapped)."""
+    def lincomb(self, a, other: "Disintegration", b) -> "Disintegration":
+        """a * self + b * other, summed once per distinct pair of ids."""
         if self.n_cells != other.n_cells:
             raise ValueError("incompatible disintegrations")
         terms = np.stack([2 * self.ids, 2 * (other.ids + len(self.table)) + 1],
                          axis=1)
-        return combine_cells(self.table + other.table, terms, (a, b), eps)
+        return combine_cells(self.table + other.table, terms, (a, b), 0)
 
     def __add__(self, other: "Disintegration") -> "Disintegration":
         return self.lincomb(1, other, 1)

@@ -1,6 +1,7 @@
 """Runner behavior: artifact shapes, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -312,6 +313,44 @@ def test_sweep_unconverged_reference_is_partial(tmp_path, capsys):
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4
     assert "3 rows did not converge" in capsys.readouterr().err
+
+
+BUMP_DOC = {
+    "base": {"kind": "linear", "l": 2},
+    "fiber": {"kind": "composite", "theta": "golden", "delta": "1/64",
+              "orbit_k": 2, "indicator": [["0.5", "1"]]},
+}
+
+
+def test_invariant_unconverged_reports_residual(tmp_path, capsys):
+    p = tmp_path / "bump.json"
+    p.write_text(json.dumps(BUMP_DOC))
+    assert main(["invariant", "--config", str(p), "--N", "32",
+                 "--fiber-atoms", "64", "--tol", "1e-30", "--nmax", "3",
+                 "--out-dir", str(tmp_path), "--out", "inv.json"]) == 3
+    meta = json.loads((tmp_path / "inv.json.meta.json").read_text())
+    assert meta["partial"] is True
+    assert meta["results"]["converged"] is False
+    assert meta["results"]["n_steps"] == 3
+    residual = meta["results"]["residual"]
+    assert math.isfinite(residual) and residual > 0
+    assert f"(residual {residual:.3g})" in capsys.readouterr().err
+
+
+def test_invariant_runs_without_scipy(tmp_path):
+    p = tmp_path / "bump.json"
+    p.write_text(json.dumps(BUMP_DOC))
+    code = (
+        "import sys\n"
+        "from skewstab.cli import main\n"
+        f"assert main(['invariant', '--config', {str(p)!r}, '--N', '32', "
+        f"'--fiber-atoms', '64', '--nmax', '20', '--allow-partial', "
+        f"'--out-dir', {str(tmp_path)!r}, '--out', 'inv.json']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_invariant_writes_measure(doubling_path, tmp_path):

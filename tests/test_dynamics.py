@@ -360,11 +360,37 @@ def test_invariant_measure_doubling_small():
     assert abs(res.mass_drift) < 1e-9
 
 
+def bump_system() -> SkewSystem:
+    # discretized Lebesgue is not a fixed point of this system (it is one
+    # of doubling_system's), so its iterates take many steps to settle
+    return SkewSystem(linear_base(2), composite_family(GOLDEN, 1 / 64, 2))
+
+
 def test_invariant_measure_reports_nonconvergence():
-    res = invariant_measure(doubling_system(), tol=1e-30, n_max=3, n_cells=32,
+    res = invariant_measure(bump_system(), tol=1e-30, n_max=3, n_cells=32,
                             fiber_atoms=64)
     assert not res.converged
     assert res.n_steps == 3
+
+
+@pytest.mark.parametrize("tol, n_max, converged", [(1e-9, 200, True),
+                                                   (1e-30, 3, False)])
+def test_invariant_measure_reports_its_own_residual(tol, n_max, converged):
+    sys1 = bump_system()
+    res = invariant_measure(sys1, tol=tol, n_max=n_max, n_cells=32,
+                            fiber_atoms=64)
+    assert res.converged is converged and not res.renormalized
+    residual = float(l1_norm(transfer_step(sys1, res.measure) - res.measure))
+    assert residual == res.residual
+    assert (residual < tol) is converged
+
+
+def test_invariant_measure_without_steps_is_lebesgue():
+    res = invariant_measure(bump_system(), n_max=0, n_cells=32,
+                            fiber_atoms=64)
+    assert not res.converged and res.n_steps == 0
+    assert res.residual == math.inf
+    assert float(l1_norm(res.measure - lebesgue_disintegration(32, 64))) == 0
 
 
 # ------------------------------------------------------------ perturbations

@@ -186,8 +186,6 @@ def test_w1_exact_fiber_above_eight_atoms_is_fraction():
 
 
 def test_w1_small_scale_never_below_mass():
-    # the closed form on fibers of at most 96 atoms; the HiGHS route above
-    # that is the xfail below
     rng = np.random.default_rng(61)
     for k in range(300):
         n = int(rng.integers(2, 97))
@@ -212,11 +210,9 @@ def test_w1_flat_small_scale_large_fiber():
     assert _w1_flat(fm, _signed_mass(fm)) == pytest.approx(5.0e-9, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="scipy's HiGHS, still used for "
-                   "unbalanced float fibers above 96 atoms, returns about "
-                   "|mass| for small-scale fibers: its tolerances are "
-                   "absolute")
 def test_w1_highs_small_scale_false_zero():
+    # an LP solver with absolute tolerances (scipy's HiGHS) reads about
+    # |mass| here, a false zero
     assert w1_norm(small_alternating_fiber()) == pytest.approx(5.0e-9,
                                                                rel=1e-9)
 
