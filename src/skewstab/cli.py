@@ -268,7 +268,7 @@ def _cmd_invariant(args) -> int:
     _write_meta(args, out, "invariant", resolved,
                 extra={"converged": res.converged,
                        "n_steps": res.n_steps,
-                       "residual": res.residual,
+                       "residual": _json_float(res.residual),
                        "mass_drift": res.mass_drift},
                 partial=not res.converged)
     if not res.converged and not args.allow_partial:

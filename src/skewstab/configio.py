@@ -398,5 +398,5 @@ def read_json(path) -> dict:
 def write_json(path, doc: dict) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

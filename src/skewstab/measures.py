@@ -17,7 +17,9 @@ The W1 norm here is the dual Lipschitz norm with the extra sup bound
 on the numerator arrays (delete the excess mass, transport the rest).
 
 var_p reads window oscillations off one interval-max table over the runs
-of equal ids.
+of equal ids.  Pair differences on a shared grid are formed in blocks.
+Their sums, like the balance test of W1, come from one long-double
+row-sum kernel with a certified error bound that returns math.fsum's bits.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ __all__ = [
 
 _DROP_TOL = 1e-15
 _BALANCE_RTOL = 1e-12
+_LD_UNIT = np.finfo(np.longdouble).eps / 2
+_LD_TINY = np.finfo(np.longdouble).smallest_subnormal
+# weights per block of pair differences in var_p, about 128 KiB of doubles
+_BLOCK_ATOMS = 2 ** 14
 
 
 def _is_exact_scalar(v) -> bool:
@@ -304,12 +310,55 @@ def _isotonic_l1(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.repeat(np.array(vals, dtype=y.dtype), np.diff(starts + [len(y)]))
 
 
+def _sum_bounds(w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Doubles (lo, hi, abs_lo, abs_hi) per row of the 2-D float64 array w:
+    math.fsum of the row lies in [lo, hi] and math.fsum of |row| in
+    [abs_lo, abs_hi].
+
+    The rows are summed in np.longdouble, an IEEE format with unit
+    u = _LD_UNIT.  In any order, a sum of n terms is off by at most
+    gamma_k sum|w| (k = n - 1, gamma_k = k u / (1 - k u)), and with a the
+    computed sum of |w| that is at most k u a / (1 - 2 k u).  The factor
+    1 + 8u covers the four roundings in evaluating it, and two smallest
+    subnormals cover its underflow.  Each end moves one long-double step
+    outward and is rounded to double; rounding is monotone, so the
+    rounded exact sum lies between the rounded ends.
+    """
+    u = _LD_UNIT
+    k = w.shape[1] - 1
+    sums = np.stack((w.sum(axis=1, dtype=np.longdouble),
+                     np.abs(w).sum(axis=1, dtype=np.longdouble)))
+    err = (k * u) / (1 - 2 * k * u) * (1 + 8 * u) * sums[1] + 2 * _LD_TINY
+    lo = np.nextafter(sums - err, -np.inf).astype(float)
+    hi = np.nextafter(sums + err, np.inf).astype(float)
+    return lo[0], hi[0], lo[1], hi[1]
+
+
+def _fsum_rows(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of the 2-D float64 array w, bit for bit, given
+    its (lo, hi) from _sum_bounds.  A row whose bounds are one finite
+    nonzero double is that double; every other row goes to math.fsum,
+    which settles the sign of a zero sum and raises on overflow."""
+    out = lo.copy()
+    for i in np.flatnonzero((lo != hi) | (lo == 0) | ~np.isfinite(lo)):
+        out[i] = math.fsum(w[i].tolist())
+    return out
+
+
 def _signed_mass(fm: FiberMeasure):
     """Mass in weight units (the numerator on the exact side); 0 for a
-    near-balanced float fiber, |mass| <= 1e-12 |weights|_1."""
+    near-balanced float fiber, |mass| <= 1e-12 |weights|_1, both sides
+    of that test being math.fsum values.  The bounds of _sum_bounds
+    decide the test without math.fsum when they can."""
     if fm.exact:
         return sum(fm.weights.tolist())
-    m = math.fsum(fm.weights.tolist())
+    w = fm.weights[None, :]
+    lo, hi, abs_lo, abs_hi = _sum_bounds(w)
+    if max(-lo[0], hi[0]) <= _BALANCE_RTOL * abs_lo[0]:
+        return 0.0
+    m = float(_fsum_rows(w, lo, hi)[0])
+    if abs(m) > _BALANCE_RTOL * abs_hi[0]:
+        return m
     return 0.0 if abs(m) <= _BALANCE_RTOL * fm.abs_mass() else m
 
 
@@ -575,6 +624,44 @@ def l1_norm(dis: Disintegration):
     return float(math.fsum(float(v) * int(c) for v, c in zip(vals, counts)))
 
 
+def _pair_w1(table: Sequence[FiberMeasure], pairs: np.ndarray) -> np.ndarray:
+    """w1_norm(table[u] - table[v]) for each row (u, v) of pairs, bit for
+    bit.
+
+    Two float fibers on equal positions differ by w_u - w_v elementwise,
+    less the weights below 1e-15 (the equal-grid branch of _combine).
+    Those differences are formed a block of about _BLOCK_ATOMS weights at
+    a time, and a single-signed one has the norm |sum|, read off
+    _fsum_rows.  Mixed-sign differences, pairs on different positions and
+    exact fibers go through w1_norm.
+    """
+    out = np.empty(len(pairs))
+    grid = [None if f.exact else f.positions.tobytes() for f in table]
+    rest: list[int] = []
+    same: dict[bytes, list[int]] = {}
+    for i, (u, v) in enumerate(pairs.tolist()):
+        if grid[u] is not None and grid[u] == grid[v]:
+            same.setdefault(grid[u], []).append(i)
+        else:
+            rest.append(i)
+    for idx in same.values():
+        idx = np.array(idx)
+        step = max(1, _BLOCK_ATOMS // len(table[pairs[idx[0], 0]]))
+        for b in range(0, len(idx), step):
+            blk = idx[b:b + step]
+            d = np.stack([table[j].weights for j in pairs[blk, 0].tolist()])
+            d -= np.stack([table[j].weights for j in pairs[blk, 1].tolist()])
+            d[np.abs(d) < _DROP_TOL] = 0.0
+            mixed = (d > 0).any(axis=1) & (d < 0).any(axis=1)
+            rest += blk[mixed].tolist()
+            d = d[~mixed]
+            out[blk[~mixed]] = np.abs(_fsum_rows(d, *_sum_bounds(d)[:2]))
+    for i in rest:
+        u, v = pairs[i].tolist()
+        out[i] = float(w1_norm(table[u] - table[v]))
+    return out
+
+
 def _interval_max(ids: np.ndarray, table, n: int, span: int):
     """Interval-max table over the runs of equal ids.
 
@@ -591,10 +678,10 @@ def _interval_max(ids: np.ndarray, table, n: int, span: int):
     rfid = ids[starts]
     a, b = np.nonzero(np.triu(starts[None, :] - ends[:, None] <= span, 1))
     lo, hi = np.minimum(rfid[a], rfid[b]), np.maximum(rfid[a], rfid[b])
-    fid_pairs = np.unique(np.stack([lo, hi], axis=1)[lo != hi], axis=0)
+    pairs = np.unique(np.stack([lo, hi], axis=1)[lo != hi], axis=0)
+    u, v = pairs.T
     dist = np.zeros((len(table), len(table)))
-    for u, v in fid_pairs.tolist():
-        dist[u, v] = dist[v, u] = float(w1_norm(table[u] - table[v])) * n
+    dist[u, v] = dist[v, u] = _pair_w1(table, pairs) * n
     m = dist[rfid[:, None], rfid[None, :]]
     for k in range(1, len(rfid)):
         i = np.arange(len(rfid) - k)

@@ -1,9 +1,10 @@
 """Independent brute-force references used by the test suite.
 
 These are deliberately dumb: a dense-grid linear program and an all-pairs
-atom program for the capped Lipschitz dual norm, and direct definitional
-sums for oscillation and var_p.  They share no code paths with the library
-shortcuts they check.
+atom program for the capped Lipschitz dual norm, direct definitional
+sums for oscillation and var_p, and the one-difference-at-a-time W1 loop
+that var_p's batched pair norms replace.  They share no code paths with
+the library shortcuts they check.
 """
 
 from __future__ import annotations
@@ -160,3 +161,10 @@ def var_p_direct(dis: Disintegration, p: float, A: float) -> float:
         total = sum(oscillation_direct(dis, i, r) for i in range(n))
         best = max(best, (total / n) * r ** (-p))
     return best
+
+
+def pair_w1_loop(table, pairs) -> np.ndarray:
+    """w1_norm(table[u] - table[v]) for each pair (u, v), one FiberMeasure
+    difference at a time: the reference for the batched pair norms."""
+    return np.array([float(w1_norm(table[u] - table[v])) for u, v in pairs],
+                    dtype=float)

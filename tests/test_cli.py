@@ -264,6 +264,25 @@ def test_invariant_exit_codes(tmp_path):
     assert main(args + ["--allow-partial"]) == 0
 
 
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_invariant_without_steps_writes_strict_json(tmp_path):
+    # no step measures no residual: the meta file says null, not Infinity
+    assert main(["invariant", "--config", str(ROOT / "configs" /
+                                              "doubling_rotation.json"),
+                 "--N", "8", "--nmax", "0", "--out-dir", str(tmp_path),
+                 "--out", "inv.json"]) == 3
+    meta = _strict_json((tmp_path / "inv.json.meta.json").read_text())
+    assert meta["results"]["residual"] is None
+    assert meta["results"]["n_steps"] == 0 and meta["partial"] is True
+    _strict_json((tmp_path / "inv.json").read_text())
+
+
+
 @pytest.mark.parametrize("args", [
     ["decay", "--N", "0"],
     ["decay", "--N", "64", "--nmax", "-1"],

@@ -15,6 +15,7 @@ from skewstab.configio import (
     parse_angle,
     save_measure,
     system_diagnostics,
+    write_json,
 )
 from skewstab.measures import (
     FiberMeasure,
@@ -179,3 +180,10 @@ def test_family_errors():
     with pytest.raises(ValueError, match="translation fiber"):
         load_family({"kind": "translation-ladder", "system": deform,
                      "deltas": ["1/256"], "gamma": 1.0})
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    # NaN and Infinity are not JSON; a strict parser rejects such a file
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "bad.json", {"x": bad})

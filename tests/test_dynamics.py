@@ -385,6 +385,23 @@ def test_invariant_measure_reports_its_own_residual(tol, n_max, converged):
     assert (residual < tol) is converged
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 7])
+def test_invariant_measure_on_a_cycle_stays_unconverged(n_max):
+    # the half rotation on every fiber swaps delta_0 and delta_{1/2}, so L
+    # has the eigenvalue -1 and the iterates from one-atom Lebesgue cycle
+    cyc = SkewSystem(linear_base(2),
+                     translation_family(Fraction(1, 2), indicator=((0, 1),)))
+    res = invariant_measure(cyc, tol=1e-9, n_max=n_max, n_cells=4,
+                            fiber_atoms=1)
+    assert not res.converged and res.n_steps == n_max
+    assert res.residual == 0.5
+    # the returned measure is L^(n_max - 1) of Lebesgue, whose residual
+    # was measured
+    atom = 0.0 if n_max % 2 else 0.5
+    assert list(res.measure.ids) == [0] * 4
+    assert res.measure.table[0].atoms() == [(atom, 0.25)]
+
+
 def test_invariant_measure_without_steps_is_lebesgue():
     res = invariant_measure(bump_system(), n_max=0, n_cells=32,
                             fiber_atoms=64)

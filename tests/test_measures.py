@@ -1,12 +1,20 @@
 """Tests for fiber measures, disintegrations and the anisotropic norms."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import dense_grid_w1, oscillation_direct, pairwise_lp_w1, var_p_direct
+from oracles import (
+    dense_grid_w1,
+    oscillation_direct,
+    pair_w1_loop,
+    pairwise_lp_w1,
+    var_p_direct,
+)
+from skewstab import measures
 from skewstab.batteries import (
     positive_disintegrations,
     signed_disintegrations,
@@ -41,7 +49,14 @@ from skewstab.measures import (
     var_p,
     w1_norm,
 )
-from skewstab.measures import _combine, _signed_mass, _w1_flat
+from skewstab.measures import (
+    _combine,
+    _fsum_rows,
+    _pair_w1,
+    _signed_mass,
+    _sum_bounds,
+    _w1_flat,
+)
 
 
 def dipole(a: float, b: float) -> FiberMeasure:
@@ -215,6 +230,78 @@ def test_w1_highs_small_scale_false_zero():
     # |mass| here, a false zero
     assert w1_norm(small_alternating_fiber()) == pytest.approx(5.0e-9,
                                                                rel=1e-9)
+
+
+# ----------------------------------------------------- certified row sums
+
+# ties (1 + 2^-53 is halfway between two doubles), subnormals, signed zeros
+_SUM_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -2.0 ** -1022, 1.0,
+              -1.0, 2.0 ** -53, -2.0 ** -53, 3 * 2.0 ** -53, 2.0 ** -110,
+              -2.0 ** -110, 1.0 + 2.0 ** -52, 1e16, -1e16, 1e300, -1e300]
+_summands = st.one_of(st.floats(-1e300, 1e300), st.sampled_from(_SUM_EDGES))
+
+
+@st.composite
+def sum_rows(draw):
+    """Rows padded with 0.0 to one width; some cancel, being a row, its
+    negation in reverse and one more term."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = draw(st.lists(_summands, min_size=1, max_size=10))
+        if draw(st.booleans()):
+            row = row + [-x for x in reversed(row)] + [draw(_summands)]
+        rows.append(row)
+    width = max(map(len, rows))
+    return np.array([r + [0.0] * (width - len(r)) for r in rows])
+
+
+@pytest.mark.parametrize("unit", [None, 2.0 ** -53],
+                         ids=["longdouble", "double-unit"])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(w=sum_rows())
+def test_fsum_rows_equals_math_fsum(monkeypatch, unit, w):
+    # unit 2^-53 stands for a platform whose long double is double
+    if unit is not None:
+        monkeypatch.setattr(measures, "_LD_UNIT", unit)
+    want = np.array([math.fsum(r) for r in w.tolist()])
+    want_abs = np.array([math.fsum(r) for r in np.abs(w).tolist()])
+    lo, hi, abs_lo, abs_hi = _sum_bounds(w)
+    assert (lo <= want).all() and (want <= hi).all()
+    assert (abs_lo <= want_abs).all() and (want_abs <= abs_hi).all()
+    assert _fsum_rows(w, lo, hi).tobytes() == want.tobytes()
+
+
+def test_signed_mass_at_the_balance_threshold(monkeypatch):
+    # dyadic atoms in +- pairs sum to exactly 0, so the mass is the one
+    # extra atom t; t steps across 1e-12 |weights|_1 in relative steps down
+    # to 1e-9, inside the band that the bounds cannot decide
+    def two_fsum(fm):
+        m = math.fsum(fm.weights.tolist())
+        a = math.fsum(np.abs(fm.weights).tolist())
+        return 0.0 if abs(m) <= 1e-12 * a else m
+
+    undecided = []
+    abs_mass = FiberMeasure.abs_mass
+    monkeypatch.setattr(FiberMeasure, "abs_mass",
+                        lambda fm: undecided.append(1) or abs_mass(fm))
+    rng = np.random.default_rng(97)
+    balanced, cases = set(), 0
+    for half in (1, 32, 2050):
+        x = rng.integers(1, 2 ** 30, half) * 2.0 ** -30
+        threshold = 1e-12 * 2 * math.fsum(x.tolist())
+        for step in (0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 0.5):
+            for t in (threshold * (1 + step), threshold * (1 - step)):
+                for sign in (1, -1):
+                    fm = FiberMeasure(rng.random(2 * half + 1),
+                                      np.concatenate((x, -x, [sign * t])))
+                    got = _signed_mass(fm)
+                    assert np.float64(got).tobytes() == \
+                        np.float64(two_fsum(fm)).tobytes()
+                    balanced.add(got == 0.0)
+                    cases += 1
+    # both outcomes occur, and only some fibers needed the fsum formula
+    assert balanced == {True, False}
+    assert 0 < len(undecided) < cases
 
 
 def test_duplicate_atoms_merge_and_tiny_weights_drop():
@@ -421,6 +508,66 @@ def test_var_p_matches_direct_definition():
         for p, A in ((1.0, 0.5), (1.0, 1 / 16)):
             assert var_p(dis, p, A) == pytest.approx(
                 var_p_direct(dis, p, A), abs=1e-9)
+
+
+def _pair_norm_cases() -> list[Disintegration]:
+    """Tables whose pairs reach every branch of the batched pair norms."""
+    rng = np.random.default_rng(101)
+    grid = np.sort(rng.random(40))
+    base = rng.uniform(0.5, 1.0, 40) / 64
+    nudged = base * (1 + 1e-3)
+    # differences below 1e-15 of the same sign as the rest (which moves
+    # the sum) and of the opposite sign (which leaves it single-signed)
+    nudged[3] = base[3] + 9e-16
+    nudged[5] = base[5] - 9e-16
+    twin = base.copy()
+    twin[7] += 5e-16
+    off = grid.copy()
+    off[11] = np.nextafter(off[11], 1.0)
+    shared = [FiberMeasure(grid, w) for w in
+              (base, 1.25 * base, 0.5 * base, nudged, twin,
+               base * rng.uniform(0.5, 1.5, 40), -base)]
+    mixed = shared[:3] + [FiberMeasure(off, base),
+                          FiberMeasure(np.sort(rng.random(25)),
+                                       rng.uniform(0, 1, 25) / 64)]
+    exact = [uniform_fiber(8, F(1, 16)), rotation_orbit_fiber(1, 4),
+             uniform_fiber(4, F(1, 16))]
+    cases = []
+    for table in (shared, mixed, exact, exact[:2] + shared[:2]):
+        ids = np.repeat(np.arange(len(table)), 2)
+        cases.append(Disintegration(rng.permutation(ids), table))
+    return cases
+
+
+@pytest.mark.parametrize("block", [None, 120], ids=["default", "3-pairs"])
+def test_batched_pair_norms_equal_the_per_pair_loop(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(measures, "_BLOCK_ATOMS", block)
+    calls = []
+    w1 = measures.w1_norm
+    monkeypatch.setattr(measures, "w1_norm",
+                        lambda fm: calls.append(1) or w1(fm))
+    cases = _pair_norm_cases()
+    n_pairs = 0
+    for dis in cases:
+        k = len(dis.table)
+        pairs = np.array([(u, v) for u in range(k) for v in range(u + 1, k)])
+        n_pairs += len(pairs)
+        assert _pair_w1(dis.table, pairs).tobytes() == \
+            pair_w1_loop(dis.table, pairs).tobytes()
+    # the shared grid goes through the batch, the rest through w1_norm
+    assert 0 < len(calls) < n_pairs
+
+    def norms():
+        return np.array([var_p(dis, p, A) for dis in cases
+                         for p, A in ((1.0, 0.5), (0.5, 0.25))]
+                        + [oscillation(dis, i, j / dis.n_cells)
+                           for dis in cases for i in (0, 5, dis.n_cells - 1)
+                           for j in (1, 3)])
+
+    got = norms()
+    monkeypatch.setattr(measures, "_pair_w1", pair_w1_loop)
+    assert got.tobytes() == norms().tobytes()
 
 
 def test_var_p_parameter_validation():
