@@ -83,14 +83,14 @@ def golden_angle(digits: int = 60) -> AngleSpec:
     return AngleSpec(value, "golden", max_exact_k=10 ** (digits // 2))
 
 
-def lacunary_theta(j_max: int, depth_cap: int = LACUNARY_DEPTH_CAP) -> AngleSpec:
+def lacunary_theta(j_max: int) -> AngleSpec:
     """Truncation of sum_i 2^(-2^(2i)) with its exact tail bound."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    if j_max > depth_cap:
+    if j_max > LACUNARY_DEPTH_CAP:
         raise ValueError(
-            f"j_max = {j_max} refused: denominator needs 2^(2*{j_max}) bits; "
-            f"raise depth_cap to override (cap {depth_cap})")
+            f"j_max = {j_max} refused: denominator needs 2^(2*{j_max}) bits "
+            f"(cap {LACUNARY_DEPTH_CAP})")
     value = sum(Fraction(1, 2 ** (2 ** (2 * i))) for i in range(1, j_max + 1))
     tail = Fraction(1, 2 ** (2 ** (2 * (j_max + 1)) - 1))
     return AngleSpec(value, "lacunary", j_max=j_max, tail_bound=tail)

@@ -45,8 +45,12 @@ from .stability import (
 
 def _parse_phi(spec: str):
     if spec.startswith("power:"):
-        c, alpha = spec[len("power:"):].split(",")
-        return PowerLaw(float(c), float(alpha))
+        try:
+            c, alpha = map(float, spec[len("power:"):].split(","))
+        except ValueError:
+            raise ValueError(f"malformed phi spec {spec!r}; expected "
+                             f"power:C,alpha") from None
+        return PowerLaw(c, alpha)
     if spec.startswith("table:"):
         doc = read_json(spec[len("table:"):])
         if not isinstance(doc, dict) or set(doc) != {"xs", "ys"}:

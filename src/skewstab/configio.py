@@ -119,7 +119,12 @@ def parse_angle(spec: str) -> AngleSpec:
     if text == "golden":
         return golden_angle()
     if text.startswith("liouville_j:"):
-        return lacunary_theta(int(text.split(":", 1)[1]))
+        try:
+            j_max = int(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"malformed angle {spec!r}; expected "
+                             f"liouville_j:<j_max>") from None
+        return lacunary_theta(j_max)
     if "/" in text:
         p, q = text.split("/", 1)
         return rational_angle(int(p), int(q))
@@ -209,7 +214,7 @@ def load_system(doc: dict) -> SkewSystem:
     _require(doc, {"base", "fiber"}, {"constants"}, "system")
     base = _load_base(doc["base"])
     fiber = _load_fiber(doc["fiber"])
-    ly = (1.0, 1.0)
+    # declared constants are validated; nothing computes with them
     if "constants" in doc:
         consts = doc["constants"]
         _require(consts, set(), _CONSTANT_KEYS, "constants")
@@ -218,10 +223,11 @@ def load_system(doc: dict) -> SkewSystem:
                 if not isinstance(v, list) or len(v) != 2:
                     raise ValueError("constants: ly_base must be a list "
                                      "[A_T, B_T] of two numbers")
-                ly = tuple(float(_parse_scalar(x)) for x in v)
+                for x in v:
+                    _parse_scalar(x)
             else:
                 _parse_scalar(v)
-    return SkewSystem(base, fiber, ly_base=ly)
+    return SkewSystem(base, fiber)
 
 
 def system_diagnostics(doc: dict, n_cells: int | None = None) -> list[str]:
@@ -379,11 +385,8 @@ def load_family(doc: dict) -> SweepJob:
                 ref.base,
                 translation_family(shifted % 1,
                                    indicator=ref.fiber.indicator,
-                                   A=ref.fiber.A),
-                ly_base=ref.ly_base)
-            size = abs(float(delta))
-            family.append(PerturbationSpec(ref, pert, size,
-                                           fiber_displacement=size))
+                                   A=ref.fiber.A))
+            family.append(PerturbationSpec(ref, pert, abs(float(delta))))
         return _sweep_job(doc, family)
     raise ValueError(f"unknown family kind {kind!r}")
 

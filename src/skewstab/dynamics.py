@@ -47,11 +47,8 @@ __all__ = [
     "invariant_measure",
     "LyReport",
     "ly_check",
-    "BaseLyReport",
-    "base_ly_check",
     "OperatorDistance",
     "operator_distance",
-    "skorokhod_bound",
 ]
 
 DEFAULT_INDICATOR = ((Fraction(1, 2), Fraction(1)),)
@@ -370,7 +367,6 @@ def composite_family(theta, delta, orbit_k: int, scale: float = 1.0,
 class SkewSystem:
     base: BaseMap
     fiber: FiberMapFamily
-    ly_base: tuple[float, float] | None = (1.0, 1.0)
 
     @property
     def domination(self) -> float:
@@ -397,27 +393,16 @@ class SkewSystem:
 @dataclass(frozen=True)
 class PerturbationSpec:
     """A reference system, its perturbation, and the declared distance
-    data (reparametrization sigma, base exceptional set, displacement)."""
+    between them."""
 
     reference: SkewSystem
     perturbed: SkewSystem
     declared_delta: float
-    base_good_set: tuple = ((0.0, 1.0),)
-    fiber_displacement: float = 0.0
     # known closed-form distance ||f_delta - f_0||_"1" (skips pipelines)
     invariant_distance: object = None
     # perturbation size reported in tables (declared_delta may also carry
     # deformation gain); defaults to declared_delta
     nominal_delta: float | None = None
-
-    def __post_init__(self):
-        bad = 1.0 - sum(b - a for a, b in self.base_good_set)
-        if bad > self.declared_delta + 1e-12:
-            raise ValueError(
-                f"exceptional set A1 has measure {bad:.3g} "
-                f"> declared delta {self.declared_delta:.3g}")
-        if self.fiber_displacement > self.declared_delta + 1e-12:
-            raise ValueError("fiber displacement exceeds declared delta")
 
 
 # ------------------------------------------------------------- transfer
@@ -526,29 +511,6 @@ def ly_check(sys: SkewSystem, dis: Disintegration, p: float,
         "q": base.branch_count, "A": A})
 
 
-@dataclass(frozen=True)
-class BaseLyReport:
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def base_ly_check(sys: SkewSystem, density: np.ndarray, n: int
-                  ) -> BaseLyReport:
-    if sys.ly_base is None:
-        raise ValueError("base map has no declared (A_T, B_T)")
-    a_t, b_t = sys.ly_base
-    density = np.asarray(density, dtype=float)
-    var_in = float(np.sum(np.abs(np.diff(density))))
-    l1_in = float(np.mean(np.abs(density)))
-    out = density
-    for _ in range(n):
-        out = sys.base.transfer_density(out)
-    lhs = float(np.sum(np.abs(np.diff(out))))
-    rhs = a_t * sys.base.lam ** n * var_in + b_t * l1_in
-    return BaseLyReport(lhs, rhs, lhs <= rhs + 1e-9)
-
-
 # ------------------------------------------------------ operator distance
 
 @dataclass(frozen=True)
@@ -572,19 +534,3 @@ def operator_distance(pspec: PerturbationSpec, battery_size: int = 32,
         best = max(best, float(d))
     return OperatorDistance(best, battery_size, seed)
 
-
-def skorokhod_bound(pspec: PerturbationSpec) -> float:
-    """max(||sigma - Id||_inf, ||1/sigma' - 1||_inf, m(A1^c)) on a grid
-    of 10^5 + 1 points; an upper bound for the reparametrization
-    distance."""
-    sigma = pspec.perturbed.base.sigma
-    bad = 1.0 - sum(b - a for a, b in pspec.base_good_set)
-    if sigma is None:
-        return max(0.0, bad)
-    xs = np.arange(100_001) / 100_000
-    derivs = sigma.deriv(xs)
-    if np.min(derivs) <= 0:
-        raise ValueError("sigma is not a diffeomorphism")
-    d_id = float(np.max(np.abs(sigma(xs) - xs)))
-    d_deriv = float(np.max(np.abs(1.0 / derivs - 1.0)))
-    return max(d_id, d_deriv, bad)

@@ -45,9 +45,7 @@ __all__ = [
     "pbv_norm",
     "marginal_density",
     "coarsen",
-    "coarsen_disintegration",
     "combine_cells",
-    "piecewise_constant_approx",
     "uniform_fiber",
     "rotation_orbit_fiber",
     "lebesgue_disintegration",
@@ -783,7 +781,7 @@ def marginal_density(dis: Disintegration) -> MarginalDensity:
 
 
 # --------------------------------------------------------------------------
-# coarsening and block averaging
+# coarsening
 # --------------------------------------------------------------------------
 
 
@@ -814,27 +812,3 @@ def coarsen(fm: FiberMeasure, eps) -> FiberMeasure:
         return _fiber(pos, fm.weights)
     return _fiber(*_merge_runs(pos, fm.weights), presorted=True)
 
-
-def coarsen_disintegration(dis: Disintegration, eps) -> Disintegration:
-    if eps == 0:
-        return dis
-    return Disintegration(dis.ids, [coarsen(f, eps) for f in dis.table])
-
-
-def piecewise_constant_approx(dis: Disintegration, eps) -> Disintegration:
-    """Average fibers over each eps-block of base cells (eps = 1/m, m | N);
-    the result is x-constant on blocks and unchanged on x-constant input."""
-    m = int(round(1.0 / float(eps)))
-    if abs(m * float(eps) - 1.0) > 1e-9:
-        raise ValueError("eps must equal 1/m for an integer m")
-    if dis.n_cells % m != 0:
-        raise ValueError("block count must divide n_cells")
-    s = dis.n_cells // m
-    out: list[FiberMeasure] = []
-    for block in dis.ids.reshape(m, s).tolist():
-        acc = dis.table[block[0]]
-        if any(i != block[0] for i in block):
-            acc = _combine([(dis.table[i], 1) for i in block]).scale(
-                Fraction(1, s))
-        out.append(acc)
-    return Disintegration(np.repeat(np.arange(m), s), out)

@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _X_LO, _X_HI = 1.0, 2.0 ** 60
+# largest fiber (2 k_j atoms) prop_bahh_system builds
+FIBER_ATOM_BUDGET = 2 ** 18
 
 
 # ------------------------------------------------------- rate functions
@@ -118,14 +120,12 @@ def _psi(phi, x: float) -> float:
     return phi(x) / x
 
 
-def psi_inverse(phi, y: float, method: str = "auto") -> float:
+def psi_inverse(phi, y: float) -> float:
     """Solve psi(x) = phi(x)/x = y on [1, 2^60]; psi is strictly
     decreasing so bisection applies; power laws invert in closed form."""
     if y <= 0:
         raise ValueError("y must be positive")
-    if method not in ("auto", "closed", "bisect"):
-        raise ValueError("unknown method")
-    if isinstance(phi, PowerLaw) and method in ("auto", "closed"):
+    if isinstance(phi, PowerLaw):
         x = (phi.C / y) ** (1.0 / (phi.alpha + 1.0))
         if not _X_LO <= x <= _X_HI:
             raise ValueError("y outside the range of psi")
@@ -342,8 +342,8 @@ class PropBahhSystem:
 
 
 def prop_bahh_system(theta: AngleSpec, j: int,
-                     deformation_scale: float = 4.0, n_cells: int = 64,
-                     fiber_atom_budget: int = 2 ** 18) -> PropBahhSystem:
+                     deformation_scale: float = 4.0, n_cells: int = 64
+                     ) -> PropBahhSystem:
     """Perturb translation by theta to the rational p_j/k_j composed
     with a deformation attracting the period-k_j orbit of 0.
 
@@ -355,10 +355,10 @@ def prop_bahh_system(theta: AngleSpec, j: int,
     """
     pert = approximant_perturbation(theta, j)
     k = pert.k
-    if 2 * k > fiber_atom_budget:
+    if 2 * k > FIBER_ATOM_BUDGET:
         raise ValueError(
             f"k_{j} = {k} needs {2 * k} fiber atoms, exceeding the budget "
-            f"{fiber_atom_budget}; raise fiber_atom_budget to proceed")
+            f"of 2^18 = {FIBER_ATOM_BUDGET} atoms")
     size = abs(pert.delta)
     fam0 = translation_family(theta.value)
     fam_d = composite_family(Fraction(pert.p, pert.k), size, k,
@@ -375,7 +375,6 @@ def prop_bahh_system(theta: AngleSpec, j: int,
     declared = float(size) * (1.0 + deformation_scale)
     pspec = PerturbationSpec(
         reference, perturbed, declared,
-        fiber_displacement=declared,
         invariant_distance=Fraction(1, 4 * k),
         nominal_delta=float(size))
     return PropBahhSystem(pspec, mu_ref, mu_orb, mu_rep, j, k, pert.delta,

@@ -113,7 +113,11 @@ def dense_grid_w1(fm: FiberMeasure, nodes: int = GRID_NODES,
 def pairwise_lp_w1(fm: FiberMeasure) -> float:
     """Capped-Lipschitz dual norm by scipy LP over the atoms themselves,
     with a Lipschitz constraint for every pair of atoms (no adjacency
-    shortcut): max sum w_i g_i, |g_i| <= 1, |g_i - g_j| <= d(y_i, y_j)."""
+    shortcut): max sum w_i g_i, |g_i| <= 1, |g_i - g_j| <= d(y_i, y_j).
+
+    HiGHS's tolerances are absolute, so on fibers whose weights are below
+    about 1e-6 the result can be off by more than the norm itself (even
+    negative); compare small-scale fibers with the exact backend instead."""
     atoms = fm.to_float().atoms()
     n = len(atoms)
     if n == 0:

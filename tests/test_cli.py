@@ -58,9 +58,12 @@ def test_bound_bad_phi(capsys):
     ["bound", "--phi", "power:nan,1", "--M", "1", "--C", "1", "--eps", "0.01"],
     ["bound", "--phi", "power:1,nan", "--M", "1", "--C", "1", "--eps", "0.01"],
     ["bound", "--phi", "power:inf,1", "--M", "1", "--C", "1", "--eps", "0.01"],
+    ["bound", "--phi", "power:1", "--M", "1", "--C", "1", "--eps", "0.01"],
+    ["diophantine", "--theta", "liouville_j:x", "--depth", "5"],
 ], ids=["bound-M-nan", "bound-C-inf", "bound-eps-nan", "bound-M-inf",
         "prop-bahh-scale-nan", "sweep-gamma-nan", "power-C-nan",
-        "power-alpha-nan", "power-C-inf"])
+        "power-alpha-nan", "power-C-inf", "power-one-value",
+        "liouville-j-not-int"])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, args):
     assert main(args + ["--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
@@ -75,6 +78,19 @@ def test_bound_names_non_finite_power_law(capsys, spec):
     assert main(["bound", "--phi", spec, "--M", "1", "--C", "1",
                  "--eps", "0.01"]) == 2
     assert "power law needs finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, form", [
+    (["bound", "--phi", "power:1", "--M", "1", "--C", "1", "--eps", "0.01"],
+     "power:C,alpha"),
+    (["bound", "--phi", "power:1,x", "--M", "1", "--C", "1", "--eps", "0.01"],
+     "power:C,alpha"),
+    (["diophantine", "--theta", "liouville_j:x", "--depth", "5"],
+     "liouville_j:<j_max>"),
+], ids=["power-one-value", "power-not-number", "liouville-j-not-int"])
+def test_malformed_spec_names_the_form(capsys, args, form):
+    assert main(args) == 2
+    assert form in capsys.readouterr().err
 
 
 def test_bound_reads_phi_table(tmp_path, capsys):
@@ -402,6 +418,21 @@ def test_example_prop_30(capsys):
 def test_example_prop_30_refusal(capsys):
     assert main(["example", "prop-30", "--j", "3"]) == 2
     assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, limit", [
+    (["example", "prop-bahh", "--theta", "liouville_j:4", "--j", "3"],
+     "2^18"),
+    (["diophantine", "--theta", "liouville_j:5", "--depth", "5"], "cap 4"),
+], ids=["prop-bahh-atoms", "lacunary-depth"])
+def test_refusal_names_the_fixed_limit(capsys, args, limit):
+    # neither limit can be set, so the message names it and no parameter
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and limit in captured.err
+    for word in ("raise", "fiber_atom_budget", "depth_cap"):
+        assert word not in captured.err
 
 
 def test_diophantine(capsys):

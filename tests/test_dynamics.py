@@ -19,7 +19,6 @@ from skewstab.dynamics import (
     PerturbationSpec,
     SineShift,
     SkewSystem,
-    base_ly_check,
     composite_family,
     deformation_family,
     identity_family,
@@ -28,7 +27,6 @@ from skewstab.dynamics import (
     ly_check,
     operator_distance,
     precomposed_base,
-    skorokhod_bound,
     transfer_step,
     translation_family,
 )
@@ -138,7 +136,7 @@ def test_indicator_alignment_error():
 
 def test_sigma_base_transfer_conserves_mass():
     base = precomposed_base(2, SineShift(0.05))
-    sys1 = SkewSystem(base, translation_family(GOLDEN), ly_base=None)
+    sys1 = SkewSystem(base, translation_family(GOLDEN))
     for dis in signed_disintegrations(8, 3, 64):
         out = transfer_step(sys1, dis)
         assert float(out.mass()) == pytest.approx(float(dis.mass()), abs=1e-12)
@@ -234,23 +232,6 @@ def test_ly_rejects_signed_input():
     dis = signed_disintegrations(3, 1, 64)[0]
     with pytest.raises(ValueError, match="positive"):
         ly_check(doubling_system(), dis, 1.0)
-
-
-def test_base_ly_doubling_indicator():
-    density = np.where(np.arange(64) < 32, 1.0, 0.0)
-    rep = base_ly_check(doubling_system(), density, 1)
-    # L of the half indicator is constant 1/2: no jumps at all
-    assert rep.lhs == 0.0
-    assert rep.ok
-    rep3 = base_ly_check(doubling_system(), density, 3)
-    assert rep3.ok
-
-
-def test_base_ly_requires_declared_constants():
-    base = precomposed_base(2, SineShift(0.05))
-    sys1 = SkewSystem(base, translation_family(GOLDEN), ly_base=None)
-    with pytest.raises(ValueError, match="A_T"):
-        base_ly_check(sys1, np.ones(16), 1)
 
 
 def test_domination_violation():
@@ -418,7 +399,7 @@ def test_operator_distance_translation_shift():
     ps = PerturbationSpec(doubling_system(),
                           SkewSystem(linear_base(2),
                                      translation_family(theta + delta)),
-                          delta, fiber_displacement=delta)
+                          delta)
     od = operator_distance(ps, battery_size=12, seed=3)
     # the battery contains m (x) delta_y members: the two images differ by a
     # rotation of size delta on half the cells
@@ -430,21 +411,3 @@ def test_operator_distance_vanishes_for_equal_systems():
     ps = PerturbationSpec(doubling_system(), doubling_system(), 0.0)
     od = operator_distance(ps, battery_size=4, seed=0)
     assert od.value == 0.0
-
-
-def test_perturbation_spec_validates_budgets():
-    with pytest.raises(ValueError, match="exceptional set"):
-        PerturbationSpec(doubling_system(), doubling_system(), 0.001,
-                         base_good_set=((0.0, 0.9),))
-    with pytest.raises(ValueError, match="displacement"):
-        PerturbationSpec(doubling_system(), doubling_system(), 0.001, fiber_displacement=0.5)
-
-
-def test_skorokhod_bound_frozen():
-    pert = SkewSystem(precomposed_base(2, SineShift(0.01)),
-                      translation_family(GOLDEN), ly_base=None)
-    ps = PerturbationSpec(doubling_system(), pert, 0.02)
-    assert skorokhod_bound(ps) == pytest.approx(0.01 / 0.99, abs=1e-5)
-    ps0 = PerturbationSpec(doubling_system(), doubling_system(), 0.05,
-                           base_good_set=((0.0, 0.96),))
-    assert skorokhod_bound(ps0) == pytest.approx(0.04, abs=1e-12)

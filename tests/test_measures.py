@@ -35,14 +35,12 @@ from skewstab.measures import (
     Disintegration,
     FiberMeasure,
     coarsen,
-    coarsen_disintegration,
     combine_cells,
     l1_norm,
     lebesgue_disintegration,
     marginal_density,
     oscillation,
     pbv_norm,
-    piecewise_constant_approx,
     product_disintegration,
     rotation_orbit_fiber,
     uniform_fiber,
@@ -209,6 +207,24 @@ def test_w1_small_scale_never_below_mass():
             w -= np.mean(w) * rng.uniform(0.5, 1.5)
         fm = FiberMeasure(rng.random(n), w)
         assert w1_norm(fm) >= abs(fm.mass()) >= 0
+
+
+def test_w1_float_matches_exact_copy_at_small_scale():
+    # below about 1e-6 of scale the HiGHS oracle is off, so the float norm
+    # is checked against the exact backend on the same atoms instead
+    rng = np.random.default_rng(67)
+    worst = 0.0
+    for k in range(300):
+        n = int(rng.integers(2, 97))
+        w = rng.uniform(-1, 1, n)
+        if k % 3 == 0:
+            w -= np.mean(w)
+        fm = FiberMeasure(rng.random(n), w * 10.0 ** rng.uniform(-9, 0))
+        exact = FiberMeasure([F(p) for p in fm.positions],
+                             [F(x) for x in fm.weights])
+        gap = abs(w1_norm(fm) - float(w1_norm(exact)))
+        worst = max(worst, gap / float(np.abs(fm.weights).sum()))
+    assert worst <= 1e-12
 
 
 def small_alternating_fiber() -> FiberMeasure:
@@ -647,44 +663,6 @@ def test_marginal_integral_equals_mass():
         assert md.integral == pytest.approx(dis.mass(), abs=1e-12)
 
 
-# ------------------------------------------- piecewise_constant_approx
-
-def test_pc_approx_x_constant_unchanged():
-    dis = product_disintegration(16, FiberMeasure([[0.2]], [1.0]))
-    out = piecewise_constant_approx(dis, 1 / 4)
-    assert l1_norm(out - dis) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_pc_approx_identity_blocks():
-    dis = signed_disintegrations(79, 1, 16)[0]
-    out = piecewise_constant_approx(dis, 1 / 16)
-    assert l1_norm(out - dis) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_pc_approx_smoothing_inequalities():
-    # jump placed off the block grid so averaging actually acts
-    n = 64
-    left = FiberMeasure([[0.0]], [1.0 / n])
-    right = FiberMeasure([[0.5]], [1.0 / n])
-    dis = Disintegration([0] * 24 + [1] * (n - 24), [left, right])
-    eps = 1 / 4
-    out = piecewise_constant_approx(dis, eps)
-    v_in = var_p(dis, 1.0, 0.5)
-    assert var_p(out, 1.0, 0.5) <= 2 * v_in + 1e-9
-    assert l1_norm(out) <= l1_norm(dis) + 1e-12
-    assert l1_norm(dis - out) <= 2 * eps * v_in + 1e-9
-
-
-def test_pc_approx_mass_and_errors():
-    dis = signed_disintegrations(83, 1, 16)[0]
-    out = piecewise_constant_approx(dis, 1 / 4)
-    assert abs(out.mass() - dis.mass()) <= 1e-12
-    with pytest.raises(ValueError, match="divide n_cells"):
-        piecewise_constant_approx(dis, 1 / 3)
-    with pytest.raises(ValueError, match="1/m"):
-        piecewise_constant_approx(dis, 0.3)
-
-
 # ------------------------------------------------------------- structure
 
 def test_disintegration_validation():
@@ -708,22 +686,6 @@ def _assert_packed(packed: Disintegration, cells: list) -> None:
         list(range(len(packed.table)))
     assert np.array_equal(Disintegration(range(len(cells)), cells).ids,
                           packed.ids)
-
-
-def _block_average_reference(dis: Disintegration, m: int) -> list:
-    s = dis.n_cells // m
-    out = []
-    for blk in range(m):
-        chunk = dis.fibers[blk * s:(blk + 1) * s]
-        if all(f.content_key() == chunk[0].content_key() for f in chunk):
-            avg = chunk[0]
-        else:
-            avg = chunk[0]
-            for f in chunk[1:]:
-                avg = avg + f
-            avg = avg.scale(1.0 / s)
-        out.extend([avg] * s)
-    return out
 
 
 def _transfer_reference(sys: SkewSystem, dis: Disintegration,
@@ -759,10 +721,6 @@ def test_packed_operations_match_per_cell_loop():
         _assert_packed(a.lincomb(0.3, b, -1.7),
                        [f.scale(0.3) + g.scale(-1.7)
                         for f, g in zip(a.fibers, b.fibers)])
-        _assert_packed(coarsen_disintegration(a, 1 / 8),
-                       [coarsen(f, 1 / 8) for f in a.fibers])
-        _assert_packed(piecewise_constant_approx(a, 1 / 4),
-                       _block_average_reference(a, 4))
         for sys in systems:
             _assert_packed(transfer_step(sys, a, eps_f=2.0 ** -10),
                            _transfer_reference(sys, a, 2.0 ** -10))

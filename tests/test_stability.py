@@ -72,6 +72,9 @@ def test_psi_inverse_range_errors():
         psi_inverse(PowerLaw(1, 1), 0.0)
 
 
+_TABLE_XS = tuple(float(2 ** k) for k in range(61))
+
+
 def test_psi_inverse_dual_method_agreement():
     rng = np.random.default_rng(42)
     checked = 0
@@ -80,8 +83,10 @@ def test_psi_inverse_dual_method_agreement():
         alpha = float(rng.uniform(0.3, 3.0))
         phi = PowerLaw(c, alpha)
         y = float(rng.uniform(phi(2.0 ** 40) / 2.0 ** 40, c * 0.99))
-        x_closed = psi_inverse(phi, y, method="closed")
-        x_bisect = psi_inverse(phi, y, method="bisect")
+        x_closed = psi_inverse(phi, y)
+        # the same power law sampled as a table is bisected
+        tab = TabulatedRate(_TABLE_XS, tuple(phi(x) for x in _TABLE_XS))
+        x_bisect = psi_inverse(tab, y)
         assert abs(x_closed - x_bisect) <= 1e-8 * max(1.0, x_closed)
         checked += 1
     assert checked == 100
@@ -261,7 +266,7 @@ def test_prop_bahh_scale_zero_pure_rotation():
 
 def test_prop_bahh_budget_refusal():
     with pytest.raises(ValueError, match="budget"):
-        prop_bahh_system(lacunary_theta(3), 2, fiber_atom_budget=1000)
+        prop_bahh_system(lacunary_theta(4), 3)
 
 
 # --------------------------------------------------------------- prop 30
