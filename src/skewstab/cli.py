@@ -10,7 +10,6 @@ validation error, 3 numeric failure (non-convergence without
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ from .arithmetic import linear_type_estimate
 from .configio import (
     SCHEMA_VERSION,
     _format_scalar,
+    _json_text,
     load_family,
     load_measure,
     load_system,
@@ -71,8 +71,7 @@ def _json_float(v):
 
 
 def _print_json(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(doc))
 
 
 def _resolve_out(args, name: str) -> Path:

@@ -9,6 +9,7 @@ strings parse as decimals or "p/q" fractions.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,16 +119,20 @@ def parse_angle(spec: str) -> AngleSpec:
     text = spec.strip()
     if text == "golden":
         return golden_angle()
-    if text.startswith("liouville_j:"):
-        try:
+    try:
+        if text.startswith("liouville_j:"):
             j_max = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"malformed angle {spec!r}; expected "
-                             f"liouville_j:<j_max>") from None
+        elif "/" in text:
+            p, q = map(int, text.split("/"))
+        else:
+            Fraction(text)
+    except ValueError:
+        raise ValueError(f"malformed angle {spec!r}; expected a decimal, "
+                         f"p/q, golden or liouville_j:<j_max>") from None
+    if text.startswith("liouville_j:"):
         return lacunary_theta(j_max)
     if "/" in text:
-        p, q = text.split("/", 1)
-        return rational_angle(int(p), int(q))
+        return rational_angle(p, q)
     frac_digits = len(text.split(".", 1)[1]) if "." in text else 0
     return decimal_angle(text, digits=max(frac_digits, 6))
 
@@ -260,6 +265,21 @@ def system_diagnostics(doc: dict, n_cells: int | None = None) -> list[str]:
 
 # ---------------------------------------------------------------- measures
 
+def _load_atom_row(atoms: list) -> FiberMeasure:
+    positions, weights = [], []
+    for pair in atoms:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError("fiber atoms must be [[pos...], weight]")
+        pos, w = pair
+        if not isinstance(pos, list) or len(pos) != 1:
+            raise ValueError("atom position must list 1 coordinate")
+        positions.append(_parse_scalar(pos[0]))
+        weights.append(_parse_scalar(w))
+    exact = bool(positions) and all(
+        isinstance(s, (Fraction, int)) for s in positions + weights)
+    return FiberMeasure(positions, weights, exact=exact)
+
+
 def load_measure(doc: dict) -> Disintegration:
     """Measure JSON: a builtin, or per-cell atom lists [[position], weight]
     on the circle ("dimension" must be 1)."""
@@ -286,26 +306,26 @@ def load_measure(doc: dict) -> Disintegration:
     if len(rows) != n:
         raise ValueError(f"measure: got {len(rows)} fibers for "
                          f"n_cells = {n}")
-    fibers = []
-    for atoms in rows:
-        positions, weights = [], []
-        for pair in atoms:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError("fiber atoms must be [[pos...], weight]")
-            pos, w = pair
-            if not isinstance(pos, list) or len(pos) != 1:
-                raise ValueError("atom position must list 1 coordinate")
-            positions.append(_parse_scalar(pos[0]))
-            weights.append(_parse_scalar(w))
-        exact = bool(positions) and all(
-            isinstance(s, (Fraction, int)) for s in positions + weights)
-        fibers.append(FiberMeasure(positions, weights, exact=exact))
-    return Disintegration(range(n), fibers)
+    # a row is parsed once per distinct content; marshal keeps 1, 1.0 and
+    # true apart, which == on lists does not
+    keys: dict = {}
+    ids, fibers = [], []
+    for i, atoms in enumerate(rows):
+        try:
+            key = marshal.dumps(atoms)
+        except ValueError:  # not JSON-born (e.g. numpy scalars): no sharing
+            key = i
+        if key not in keys:
+            keys[key] = len(fibers)
+            fibers.append(_load_atom_row(atoms))
+        ids.append(keys[key])
+    return Disintegration(ids, fibers)
 
 
 def save_measure(dis: Disintegration) -> dict:
     """The explicit per-cell format; each distinct fiber is formatted once
-    and its row shared by the cells that carry it."""
+    and its row object shared by the cells that carry it, which is what
+    lets write_json encode it once."""
     distinct = [[[[_format_scalar(p)], _format_scalar(w)]
                  for p, w in fm.atoms()] for fm in dis.table]
     return {"n_cells": dis.n_cells, "dimension": 1,
@@ -398,8 +418,63 @@ def read_json(path) -> dict:
         return json.load(fh)
 
 
+# the encoder that json.dumps(v, indent=2, sort_keys=True, allow_nan=False)
+# builds on every call
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
+
+def _json_chunks(doc):
+    """The text of json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False), in chunks.  Dicts and lists are laid out here; every
+    other value, and every container inside a list, is encoded by json
+    itself and re-indented, once per (object, depth)."""
+    memo: dict = {}
+
+    def encode(v, depth):
+        text = _ENCODER.encode(v)
+        return text.replace("\n", "\n" + "  " * depth) if depth else text
+
+    def walk(v, depth):
+        is_dict = isinstance(v, dict) and all(isinstance(k, str) for k in v)
+        if not (is_dict or isinstance(v, (list, tuple))) or not v:
+            yield encode(v, depth)
+            return
+        sep = "\n" + "  " * (depth + 1)
+        if is_dict:
+            for i, k in enumerate(sorted(v)):
+                yield f"{',' if i else '{'}{sep}{_ENCODER.encode(k)}: "
+                yield from walk(v[k], depth + 1)
+            yield "\n" + "  " * depth + "}"
+        else:
+            for i, x in enumerate(v):
+                yield f"{',' if i else '['}{sep}"
+                if isinstance(x, (dict, list, tuple)):
+                    key = (id(x), depth + 1)
+                    if key not in memo:
+                        memo[key] = encode(x, depth + 1)
+                    yield memo[key]
+                else:
+                    yield encode(x, depth + 1)
+            yield "\n" + "  " * depth + "]"
+
+    return walk(doc, 0)
+
+
+def _json_text(doc) -> str:
+    """Strict JSON text of doc with a trailing newline, as write_json
+    writes it; raises before returning anything on a value JSON cannot
+    hold."""
+    return "".join(_json_chunks(doc)) + "\n"
+
+
 def write_json(path, doc: dict) -> None:
+    """Strict JSON; a document that cannot be encoded leaves no file."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(_json_chunks(doc))
+            fh.write("\n")
+    except BaseException:
+        Path(path).unlink()
+        raise

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from skewstab.cli import main
+from skewstab.cli import _print_json, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,10 +87,26 @@ def test_bound_names_non_finite_power_law(capsys, spec):
      "power:C,alpha"),
     (["diophantine", "--theta", "liouville_j:x", "--depth", "5"],
      "liouville_j:<j_max>"),
-], ids=["power-one-value", "power-not-number", "liouville-j-not-int"])
+] + [(["diophantine", "--theta", theta, "--depth", "5"],
+      "malformed angle " + repr(theta) + "; expected a decimal, p/q, "
+      "golden or liouville_j:<j_max>")
+     for theta in ("1/x", "1/2/3", "abc", "")],
+    ids=["power-one-value", "power-not-number", "liouville-j-not-int",
+         "angle-denominator-not-int", "angle-two-slashes", "angle-word",
+         "angle-empty"])
 def test_malformed_spec_names_the_form(capsys, args, form):
     assert main(args) == 2
     assert form in capsys.readouterr().err
+
+
+def test_stdout_json_is_strict_and_all_or_nothing(capsys):
+    with pytest.raises(ValueError):
+        _print_json({"a": 1, "b": [2, float("nan")]})
+    assert capsys.readouterr().out == ""
+    doc = {"b": [1.5, {"c": None}], "a": "x"}
+    _print_json(doc)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2,
+                                                 sort_keys=True) + "\n"
 
 
 def test_bound_reads_phi_table(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Schema round trips and strictness."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skewstab import configio
 from skewstab.configio import (
     _format_scalar,
     _parse_scalar,
@@ -13,16 +17,20 @@ from skewstab.configio import (
     load_measure,
     load_system,
     parse_angle,
+    read_json,
     save_measure,
     system_diagnostics,
     write_json,
 )
+from skewstab.dynamics import invariant_measure
 from skewstab.measures import (
     FiberMeasure,
     Disintegration,
     l1_norm,
     lebesgue_disintegration,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DOUBLING_DOC = {
     "base": {"kind": "linear", "l": 2},
@@ -187,3 +195,131 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             write_json(tmp_path / "bad.json", {"x": bad})
+        assert not (tmp_path / "bad.json").exists()
+    # a refusal deep in the document, after text was already written,
+    # still leaves no file behind
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "bad.json", {"a": [1, {"b": float("nan")}]})
+    assert not (tmp_path / "bad.json").exists()
+
+
+# ------------------------------------------------------------------ writer
+
+def _reference_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308, True, 1, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.text(st.characters(), max_size=6))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+_containers = st.one_of(st.lists(_values, max_size=4),
+                        st.dictionaries(st.text(max_size=4), _values,
+                                        max_size=4))
+
+
+@given(_containers, _values)
+def test_write_json_is_json_dumps(tmp_path_factory, shared, other):
+    # one object at one depth (b) and at two depths (b, c.d): each copy
+    # takes its own depth's indentation
+    doc = {"a": shared, "b": [shared, other, shared],
+           "c": {"d": [shared, [shared]], "e": [[], {}, [[]], [{}]]},
+           "f": [True, 1, 1.0, -0.0, 5e-324, 1e308, np.float64(0.1)],
+           "g": "tab\t quote\" newline\n é \u2603 \U0001f600", "h": other}
+    path = tmp_path_factory.mktemp("w") / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == _reference_text(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize("doc", [{}, [], 0, "x", {"a": {}}, [[[]]],
+                                 {"x": [[1, 2], [1, 2]]}])
+def test_write_json_small_documents(tmp_path, doc):
+    write_json(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_text() == _reference_text(doc)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (float("nan"), ValueError), (float("-inf"), ValueError),
+    (np.float64("inf"), ValueError), (np.int64(3), TypeError),
+    ({1, 2}, TypeError)], ids=["nan", "-inf", "np-inf", "np-int64", "set"])
+@pytest.mark.parametrize("place", [
+    lambda v: {"x": v}, lambda v: {"x": [1, [2, v]]},
+    lambda v: {"x": {"y": [{"z": v}]}}], ids=["value", "row", "nested"])
+def test_write_json_refuses_what_json_dump_refuses(tmp_path, bad, error,
+                                                   place):
+    doc = place(bad)
+    with pytest.raises(error):
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    with pytest.raises(error):
+        write_json(tmp_path / "bad.json", doc)
+    assert not (tmp_path / "bad.json").exists()
+
+
+# ------------------------------------------------------------------ reader
+
+def _measure_doc(rows) -> dict:
+    return json.loads(json.dumps(
+        {"n_cells": len(rows), "dimension": 1, "fibers": rows}))
+
+
+def test_load_measure_keeps_json_types_apart(monkeypatch):
+    built = []
+
+    def counting_fiber(*args, **kw):
+        built.append(args)
+        return FiberMeasure(*args, **kw)
+
+    monkeypatch.setattr(configio, "FiberMeasure", counting_fiber)
+    exact_row, float_row = [[[0], 1]], [[[0.0], 1.0]]
+    both = load_measure(_measure_doc([exact_row, float_row, exact_row]))
+    assert len(built) == 2  # one per distinct row
+    assert both.ids.tolist() == [0, 1, 0]
+    for fm, row in zip(both.table, (exact_row, float_row)):
+        alone = load_measure(_measure_doc([row])).table[0]
+        assert fm.exact == alone.exact
+        assert fm.positions.tolist() == alone.positions.tolist()
+        assert fm.weights.tolist() == alone.weights.tolist()
+    assert both.table[0].exact and not both.table[1].exact
+    # a bool is refused even right after the equal-comparing int row
+    with pytest.raises(ValueError, match="got True"):
+        load_measure(_measure_doc([[[[0.5], 1]], [[[0.5], True]]]))
+    # a document built in Python may hold numpy scalars; they still load
+    doc = {"n_cells": 2, "dimension": 1,
+           "fibers": [[[[np.float64(0.25)], np.float64(1.0)]]] * 2}
+    assert load_measure(doc).table[0].positions.tolist() == [0.25]
+
+
+@pytest.mark.parametrize("config, distinct", [
+    ("precomposed_rotation.json", 64), ("doubling_rotation.json", 1)])
+def test_measure_file_round_trip_is_bit_exact(tmp_path, config, distinct):
+    system = load_system(read_json(CONFIGS / config))
+    dis = invariant_measure(system, n_max=20, n_cells=64,
+                            fiber_atoms=64).measure
+    assert len(dis.table) == distinct
+    write_json(tmp_path / "mu.json", save_measure(dis))
+    back = load_measure(json.loads((tmp_path / "mu.json").read_text()))
+    assert back.ids.tolist() == dis.ids.tolist()
+    assert len(back.table) == len(dis.table)
+    for got, want in zip(back.table, dis.table):
+        assert not got.exact and not want.exact
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def test_save_measure_shares_rows_of_equal_ids():
+    leb = lebesgue_disintegration(2, 4)
+    dis = Disintegration([0, 1, 0, 2, 1],
+                         [leb.table[0], leb.table[0].scale(0.5),
+                          FiberMeasure([0.25], [1.0])])
+    rows = save_measure(dis)["fibers"]
+    ids = dis.ids.tolist()
+    for i in range(len(ids)):
+        for j in range(len(ids)):
+            assert (rows[i] is rows[j]) == (ids[i] == ids[j])
