@@ -76,11 +76,11 @@ def decimal_angle(text: str, digits: int = 50) -> AngleSpec:
     return AngleSpec(value, "decimal", max_exact_k=10 ** (digits // 2))
 
 
-def golden_angle(digits: int = 60) -> AngleSpec:
-    # (sqrt(5) - 1) / 2 rounded down at 10^-digits
-    b = 10 ** digits
+def golden_angle() -> AngleSpec:
+    # (sqrt(5) - 1) / 2 rounded down at 10^-60, exact for k up to 10^30
+    b = 10 ** 60
     value = Fraction(isqrt(5 * b * b) - b, 2 * b)
-    return AngleSpec(value, "golden", max_exact_k=10 ** (digits // 2))
+    return AngleSpec(value, "golden", max_exact_k=10 ** 30)
 
 
 def lacunary_theta(j_max: int) -> AngleSpec:

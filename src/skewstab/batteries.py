@@ -97,10 +97,11 @@ def signed_disintegrations(seed: int, count: int, n_cells: int,
             for _ in range(count)]
 
 
-def unit_pbv_battery(seed: int, size: int, n_cells: int, p: float = 1.0,
-                     A: float = 0.5) -> list[Disintegration]:
-    """Measures normalized to p-BV norm 1, led by m x delta_y members
-    (already unit) and padded with normalized run-structured measures."""
+def unit_pbv_battery(seed: int, size: int,
+                     n_cells: int) -> list[Disintegration]:
+    """Measures normalized to pbv_norm 1 (p = 1, A = 1/2), led by
+    m x delta_y members (already unit) and padded with normalized
+    run-structured measures."""
     rng = np.random.default_rng(seed)
     out: list[Disintegration] = []
     n_point = min(size, 3)
@@ -112,7 +113,7 @@ def unit_pbv_battery(seed: int, size: int, n_cells: int, p: float = 1.0,
         positive = bool(rng.integers(0, 2))
         dis = _run_disintegration(rng, n_cells, n_distinct=4, max_atoms=3,
                                   positive=positive)
-        norm = pbv_norm(dis, p, A).pbv
+        norm = pbv_norm(dis).pbv
         if norm <= 1e-12:
             continue
         out.append(dis.scale(1.0 / norm))

@@ -126,6 +126,9 @@ def _cmd_decay(args) -> int:
     system.base.check_grid(args.N)
     if args.observable:
         g = load_measure(read_json(args.observable))
+        if g.n_cells != args.N:
+            raise ValueError(f"observable has n_cells = {g.n_cells}, but "
+                             f"--N is {args.N}")
     else:
         # default zero-mass input: m (x) (delta_0 - delta_half)
         g = product_disintegration(
@@ -187,7 +190,8 @@ def _cmd_example(args) -> int:
                 ex.closed_form_distance)),
             "distance_float": dist,
             "deformation_scale": ex.deformation_scale,
-            "declared_delta": ex.pspec.declared_delta,
+            "declared_delta": (float(abs(ex.delta))
+                               * (1.0 + ex.deformation_scale)),
             "lower_bound_gamma_prime": {
                 "gamma_prime": gp, "bound": lower_gp,
                 "pass": dist >= lower_gp},

@@ -48,7 +48,7 @@ __all__ = [
     "write_json",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _require(doc: dict, required: set, optional: set, where: str) -> None:
@@ -281,8 +281,10 @@ def _load_atom_row(atoms: list) -> FiberMeasure:
 
 
 def load_measure(doc: dict) -> Disintegration:
-    """Measure JSON: a builtin, or per-cell atom lists [[position], weight]
-    on the circle ("dimension" must be 1)."""
+    """Measure JSON: a builtin, or atom lists [[position], weight] on the
+    circle ("dimension" must be 1).  With "ids", fibers lists each
+    distinct fiber once and ids gives each cell's row; without it,
+    fibers lists one row per cell."""
     if not isinstance(doc, dict):
         raise ValueError("measure: expected a JSON object")
     if "builtin" in doc:
@@ -294,7 +296,7 @@ def load_measure(doc: dict) -> Disintegration:
             _positive_int(doc, "n_cells", "measure"),
             _positive_int(doc, "fiber_atoms", "measure"),
             exact=bool(doc.get("exact", False)))
-    _require(doc, {"n_cells", "dimension", "fibers"}, set(), "measure")
+    _require(doc, {"n_cells", "dimension", "fibers"}, {"ids"}, "measure")
     n = _positive_int(doc, "n_cells", "measure")
     if _positive_int(doc, "dimension", "measure") != 1:
         raise ValueError(f"measure: dimension must be 1 (fibers are "
@@ -303,13 +305,26 @@ def load_measure(doc: dict) -> Disintegration:
     if not isinstance(rows, list) or \
             not all(isinstance(atoms, list) for atoms in rows):
         raise ValueError("measure: fibers must be a list of atom lists")
-    if len(rows) != n:
-        raise ValueError(f"measure: got {len(rows)} fibers for "
-                         f"n_cells = {n}")
+    if "ids" not in doc:
+        if len(rows) != n:
+            raise ValueError(f"measure: got {len(rows)} fibers for "
+                             f"n_cells = {n}")
+        ids = range(n)
+    else:
+        ids = doc["ids"]
+        if not isinstance(ids, list) or \
+                not all(type(i) is int for i in ids):
+            raise ValueError("measure: ids must be a list of integers")
+        if len(ids) != n:
+            raise ValueError(f"measure: got {len(ids)} ids for "
+                             f"n_cells = {n}")
+        if set(ids) != set(range(len(rows))):
+            raise ValueError(f"measure: ids must lie in [0, {len(rows)}) "
+                             f"and name every fiber")
     # a row is parsed once per distinct content; marshal keeps 1, 1.0 and
     # true apart, which == on lists does not
     keys: dict = {}
-    ids, fibers = [], []
+    row_ids, fibers = [], []
     for i, atoms in enumerate(rows):
         try:
             key = marshal.dumps(atoms)
@@ -318,18 +333,16 @@ def load_measure(doc: dict) -> Disintegration:
         if key not in keys:
             keys[key] = len(fibers)
             fibers.append(_load_atom_row(atoms))
-        ids.append(keys[key])
-    return Disintegration(ids, fibers)
+        row_ids.append(keys[key])
+    return Disintegration([row_ids[i] for i in ids], fibers)
 
 
 def save_measure(dis: Disintegration) -> dict:
-    """The explicit per-cell format; each distinct fiber is formatted once
-    and its row object shared by the cells that carry it, which is what
-    lets write_json encode it once."""
-    distinct = [[[[_format_scalar(p)], _format_scalar(w)]
-                 for p, w in fm.atoms()] for fm in dis.table]
-    return {"n_cells": dis.n_cells, "dimension": 1,
-            "fibers": [distinct[i] for i in dis.ids.tolist()]}
+    """The packed format: an id per cell and each distinct fiber's atom
+    list once, in table order."""
+    return {"n_cells": dis.n_cells, "dimension": 1, "ids": dis.ids.tolist(),
+            "fibers": [[[[_format_scalar(p)], _format_scalar(w)]
+                        for p, w in fm.atoms()] for fm in dis.table]}
 
 
 # ---------------------------------------------------------------- families
@@ -418,63 +431,20 @@ def read_json(path) -> dict:
         return json.load(fh)
 
 
-# the encoder that json.dumps(v, indent=2, sort_keys=True, allow_nan=False)
-# builds on every call
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-
-
-def _json_chunks(doc):
-    """The text of json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False), in chunks.  Dicts and lists are laid out here; every
-    other value, and every container inside a list, is encoded by json
-    itself and re-indented, once per (object, depth)."""
-    memo: dict = {}
-
-    def encode(v, depth):
-        text = _ENCODER.encode(v)
-        return text.replace("\n", "\n" + "  " * depth) if depth else text
-
-    def walk(v, depth):
-        is_dict = isinstance(v, dict) and all(isinstance(k, str) for k in v)
-        if not (is_dict or isinstance(v, (list, tuple))) or not v:
-            yield encode(v, depth)
-            return
-        sep = "\n" + "  " * (depth + 1)
-        if is_dict:
-            for i, k in enumerate(sorted(v)):
-                yield f"{',' if i else '{'}{sep}{_ENCODER.encode(k)}: "
-                yield from walk(v[k], depth + 1)
-            yield "\n" + "  " * depth + "}"
-        else:
-            for i, x in enumerate(v):
-                yield f"{',' if i else '['}{sep}"
-                if isinstance(x, (dict, list, tuple)):
-                    key = (id(x), depth + 1)
-                    if key not in memo:
-                        memo[key] = encode(x, depth + 1)
-                    yield memo[key]
-                else:
-                    yield encode(x, depth + 1)
-            yield "\n" + "  " * depth + "]"
-
-    return walk(doc, 0)
-
-
 def _json_text(doc) -> str:
     """Strict JSON text of doc with a trailing newline, as write_json
-    writes it; raises before returning anything on a value JSON cannot
-    hold."""
-    return "".join(_json_chunks(doc)) + "\n"
+    writes it."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, doc: dict) -> None:
     """Strict JSON; a document that cannot be encoded leaves no file."""
+    text = _json_text(doc)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
-            fh.writelines(_json_chunks(doc))
-            fh.write("\n")
+            fh.write(text)
     except BaseException:
         Path(path).unlink()
         raise

@@ -392,17 +392,14 @@ class SkewSystem:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """A reference system, its perturbation, and the declared distance
-    between them."""
+    """A reference system, its perturbation, and the perturbation size
+    delta that sweep rows report."""
 
     reference: SkewSystem
     perturbed: SkewSystem
-    declared_delta: float
+    delta: float
     # known closed-form distance ||f_delta - f_0||_"1" (skips pipelines)
     invariant_distance: object = None
-    # perturbation size reported in tables (declared_delta may also carry
-    # deformation gain); defaults to declared_delta
-    nominal_delta: float | None = None
 
 
 # ------------------------------------------------------------- transfer
@@ -489,16 +486,15 @@ class LyReport:
     constants: dict
 
 
-def ly_check(sys: SkewSystem, dis: Disintegration, p: float,
-             A: float | None = None) -> LyReport:
+def ly_check(sys: SkewSystem, dis: Disintegration, p: float) -> LyReport:
     """Evaluates both sides of the fiberwise variation inequality
     var_p(L mu) <= lambda^p alpha var_p(mu) + (H_hat + 3 q alpha C_h
-    A^(xi-p)) sup|mu_x| for a positive measure."""
+    A^(xi-p)) sup|mu_x| for a positive measure, at the fiber family's
+    A."""
     if any((f.weights < 0).any() for f in dis.table):
         raise ValueError("ly_check requires a positive measure")
     sys.require_domination()
-    if A is None:
-        A = sys.fiber.A
+    A = sys.fiber.A
     base = sys.base
     lam, alpha = base.lam, sys.fiber.alpha
     lhs = var_p(transfer_step(sys, dis, eps_f=0), p, A)

@@ -256,11 +256,6 @@ class SweepTable:
                 for r in self.rows if r.converged]
 
 
-def _row_delta(ps: PerturbationSpec) -> float:
-    nd = ps.nominal_delta
-    return float(nd) if nd is not None else float(ps.declared_delta)
-
-
 def stability_sweep(family: list, gamma: float,
                     gamma_prime: float | None = None,
                     pipeline: dict | None = None) -> SweepTable:
@@ -276,7 +271,7 @@ def stability_sweep(family: list, gamma: float,
     ref = family[0].reference
     if any(ps.reference != ref for ps in family):
         raise ValueError("family must share one reference system")
-    deltas = [_row_delta(ps) for ps in family]
+    deltas = [float(ps.delta) for ps in family]
     if len(set(deltas)) != len(deltas):
         raise ValueError("delta values must be distinct")
     if not all(d > 0 for d in deltas):
@@ -287,28 +282,24 @@ def stability_sweep(family: list, gamma: float,
     entries = []
     for ps in family:
         if ps.invariant_distance is not None:
-            entries.append((ps, float(ps.invariant_distance), True))
+            entries.append((float(ps.invariant_distance), True))
             continue
         res = invariant_measure(ps.perturbed, **opts)
         if r0 is None:
             r0 = invariant_measure(ref, **opts)
-        entries.append((ps, float(l1_norm(res.measure - r0.measure)),
+        entries.append((float(l1_norm(res.measure - r0.measure)),
                         res.converged and r0.converged))
 
     exponent = 1.0 / (8.0 * gamma + 1.0)
-    order = sorted(range(len(entries)),
-                   key=lambda i: _row_delta(entries[i][0]), reverse=True)
-    good = [(i, entries[i]) for i in order if entries[i][2]]
-    if good:
-        i_min, (ps_min, d_min, _) = good[-1]
-        K = d_min / _row_delta(ps_min) ** exponent
-    else:
-        K = 0.0
+    order = sorted(range(len(family)), key=deltas.__getitem__,
+                   reverse=True)
+    good = [i for i in order if entries[i][1]]
+    K = entries[good[-1]][0] / deltas[good[-1]] ** exponent if good else 0.0
 
     rows = []
     for i in order:
-        ps, dist, ok = entries[i]
-        delta = _row_delta(ps)
+        dist, ok = entries[i]
+        delta = deltas[i]
         lower = (dist * 0.0 if gamma_prime is None
                  else delta ** (1.0 / (gamma_prime - 1.0)) / 9.0)
         rows.append(SweepRow(delta, dist, lower, K * delta ** exponent, ok))
@@ -372,11 +363,8 @@ def prop_bahh_system(theta: AngleSpec, j: int,
     mu_rep = product_disintegration(
         n_cells, rotation_orbit_fiber(pert.p, pert.k,
                                       offset=Fraction(1, 2 * k)))
-    declared = float(size) * (1.0 + deformation_scale)
-    pspec = PerturbationSpec(
-        reference, perturbed, declared,
-        invariant_distance=Fraction(1, 4 * k),
-        nominal_delta=float(size))
+    pspec = PerturbationSpec(reference, perturbed, float(size),
+                             invariant_distance=Fraction(1, 4 * k))
     return PropBahhSystem(pspec, mu_ref, mu_orb, mu_rep, j, k, pert.delta,
                           Fraction(1, 4 * k), deformation_scale)
 

@@ -170,8 +170,21 @@ def test_norm_lebesgue(doubling_path, tmp_path, capsys):
     '{"n_cells": 2, "dimension": 1, '
     '"fibers": [[[[0.25], Infinity]], [[[0.5], 0.5]]]}',
     '{"n_cells": 1, "dimension": 2, "fibers": [[[[0.5, 0.5], 1.0]]]}',
+    '{"n_cells": 2, "dimension": 1, "ids": 0, "fibers": [[[[0.5], 0.5]]]}',
+    '{"n_cells": 2, "dimension": 1, "ids": [0], "fibers": [[[[0.5], 0.5]]]}',
+    '{"n_cells": 2, "dimension": 1, "ids": [0, 1.0], '
+    '"fibers": [[[[0.5], 0.5]], [[[0.25], 0.5]]]}',
+    '{"n_cells": 2, "dimension": 1, "ids": [0, true], '
+    '"fibers": [[[[0.5], 0.5]], [[[0.25], 0.5]]]}',
+    '{"n_cells": 2, "dimension": 1, "ids": [0, -1], '
+    '"fibers": [[[[0.5], 0.5]], [[[0.25], 0.5]]]}',
+    '{"n_cells": 2, "dimension": 1, "ids": [0, 2], '
+    '"fibers": [[[[0.5], 0.5]], [[[0.25], 0.5]]]}',
+    '{"n_cells": 2, "dimension": 1, "ids": [1, 1], '
+    '"fibers": [[[[0.5], 0.5]], [[[0.25], 0.5]]]}',
 ], ids=["fibers-not-list", "n-cells-list", "nan-position", "inf-weight",
-        "dimension-2"])
+        "dimension-2", "ids-not-list", "ids-wrong-length", "ids-float",
+        "ids-bool", "ids-negative", "ids-past-table", "row-unreferenced"])
 def test_norm_rejects_malformed_measure(doubling_path, tmp_path, capsys, text):
     m = tmp_path / "bad.json"
     m.write_text(text)
@@ -221,6 +234,25 @@ def test_decay_artifacts(doubling_path, tmp_path, capsys):
     assert meta["seed"] == 0
     assert meta["config"]["system"] == DOUBLING_DOC
     assert meta["partial"] is False
+
+
+def test_decay_refuses_observable_on_another_grid(doubling_path, tmp_path,
+                                                  capsys):
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps(
+        {"n_cells": 4, "dimension": 1, "ids": [0, 0, 0, 0],
+         "fibers": [[[[0], "1/8"], [["1/2"], "-1/8"]]]}))
+    args = ["decay", "--config", doubling_path, "--nmax", "4",
+            "--observable", str(obs), "--out-dir", str(tmp_path),
+            "--out", "decay.csv"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "n_cells = 4" in captured.err and "1024" in captured.err
+    assert not (tmp_path / "decay.csv").exists()
+    assert main(args + ["--N", "4"]) == 0
+    meta = json.loads((tmp_path / "decay.csv.meta.json").read_text())
+    assert meta["config"]["N"] == 4
 
 
 def test_decay_rerun_byte_identical(doubling_path, tmp_path):
@@ -409,8 +441,10 @@ def test_invariant_writes_measure(doubling_path, tmp_path):
                  "--fiber-atoms", "128", "--tol", "1e-4", "--nmax", "200",
                  "--out-dir", str(tmp_path), "--out", "inv.json"]) == 0
     doc = json.loads((tmp_path / "inv.json").read_text())
+    assert set(doc) == {"n_cells", "dimension", "ids", "fibers"}
     assert doc["n_cells"] == 32
-    assert len(doc["fibers"]) == 32
+    assert len(doc["ids"]) == 32
+    assert sorted(set(doc["ids"])) == list(range(len(doc["fibers"])))
 
 
 def test_example_prop_bahh(capsys):

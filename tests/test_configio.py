@@ -159,7 +159,7 @@ def test_family_ladder():
            "deltas": ["1/256", "1/1024"], "gamma": 1.0,
            "pipeline": {"n_cells": 32, "fiber_atoms": 128, "n_max": 10}}
     job = load_family(doc)
-    assert [ps.declared_delta for ps in job.family] == [1 / 256, 1 / 1024]
+    assert [ps.delta for ps in job.family] == [1 / 256, 1 / 1024]
     ref = job.family[0].reference
     pert = job.family[0].perturbed
     assert pert.fiber.theta - ref.fiber.theta == Fraction(1, 256)
@@ -196,8 +196,7 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
         with pytest.raises(ValueError):
             write_json(tmp_path / "bad.json", {"x": bad})
         assert not (tmp_path / "bad.json").exists()
-    # a refusal deep in the document, after text was already written,
-    # still leaves no file behind
+    # nor does a refusal deep in the document
     with pytest.raises(ValueError):
         write_json(tmp_path / "bad.json", {"a": [1, {"b": float("nan")}]})
     assert not (tmp_path / "bad.json").exists()
@@ -303,23 +302,30 @@ def test_measure_file_round_trip_is_bit_exact(tmp_path, config, distinct):
     dis = invariant_measure(system, n_max=20, n_cells=64,
                             fiber_atoms=64).measure
     assert len(dis.table) == distinct
-    write_json(tmp_path / "mu.json", save_measure(dis))
-    back = load_measure(json.loads((tmp_path / "mu.json").read_text()))
-    assert back.ids.tolist() == dis.ids.tolist()
-    assert len(back.table) == len(dis.table)
-    for got, want in zip(back.table, dis.table):
-        assert not got.exact and not want.exact
-        assert got.positions.tobytes() == want.positions.tobytes()
-        assert got.weights.tobytes() == want.weights.tobytes()
+    packed = save_measure(dis)
+    # the per-cell layout of schema version 1: a row per cell, no ids
+    per_cell = {"n_cells": dis.n_cells, "dimension": 1,
+                "fibers": [packed["fibers"][i] for i in packed["ids"]]}
+    for doc in (packed, per_cell):
+        write_json(tmp_path / "mu.json", doc)
+        back = load_measure(json.loads((tmp_path / "mu.json").read_text()))
+        assert back.ids.tolist() == dis.ids.tolist()
+        assert len(back.table) == len(dis.table)
+        for got, want in zip(back.table, dis.table):
+            assert not got.exact and not want.exact
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
 
 
-def test_save_measure_shares_rows_of_equal_ids():
+def test_save_measure_writes_each_fiber_once():
     leb = lebesgue_disintegration(2, 4)
     dis = Disintegration([0, 1, 0, 2, 1],
                          [leb.table[0], leb.table[0].scale(0.5),
                           FiberMeasure([0.25], [1.0])])
-    rows = save_measure(dis)["fibers"]
-    ids = dis.ids.tolist()
-    for i in range(len(ids)):
-        for j in range(len(ids)):
-            assert (rows[i] is rows[j]) == (ids[i] == ids[j])
+    doc = save_measure(dis)
+    assert doc["ids"] == dis.ids.tolist() == [0, 1, 0, 2, 1]
+    # each distinct fiber once, in table order
+    assert doc["fibers"] == [
+        [[[x], 0.125] for x in (0.0, 0.25, 0.5, 0.75)],
+        [[[x], 0.0625] for x in (0.0, 0.25, 0.5, 0.75)],
+        [[[0.25], 1.0]]]
