@@ -244,6 +244,9 @@ def approximant_perturbation(theta: AngleSpec, j: int,
         p, k = cf.convergents[j]
         delta = Fraction(p, k) - theta.value
         tail = Fraction(0)
+    if delta == 0:
+        raise ValueError(f"j = {j}: the {theta.provenance} angle "
+                         f"{theta.value} is its own approximant, delta_j = 0")
     bound_ok = None
     if gamma_prime is not None:
         bound_ok = abs(delta) + tail <= Fraction(1, k) ** (gamma_prime - 1)

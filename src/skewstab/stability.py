@@ -87,8 +87,11 @@ class TabulatedRate:
         xs, ys = np.asarray(self.xs, float), np.asarray(self.ys, float)
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("phi table values must be finite")
-        if len(xs) < 2 or np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly increasing")
+        if len(xs) != len(ys):
+            raise ValueError(f"phi table has {len(xs)} xs but {len(ys)} ys")
+        if len(xs) < 2 or xs[0] <= 0 or np.any(np.diff(xs) <= 0):
+            raise ValueError("xs must be positive (phi is interpolated in "
+                             "log-log) and strictly increasing")
         if np.any(np.diff(ys) >= 0) or np.any(ys <= 0):
             raise ValueError("phi must be strictly decreasing and positive")
 
@@ -186,9 +189,6 @@ class DecaySeries:
     intercept: float | None
     residuals: tuple
 
-    def tail_start(self) -> int:
-        return len(self.ns) // 2
-
 
 def _tail_fit(ns, norms):
     start = len(ns) // 2
@@ -266,8 +266,11 @@ def stability_sweep(family: list, gamma: float,
     converged only when both its own and the reference pipeline did."""
     if not family:
         raise ValueError("empty family")
-    if not all(math.isfinite(g) for g in (gamma, gamma_prime) if g is not None):
-        raise ValueError("gamma and gamma_prime must be finite")
+    if not (1 <= gamma < math.inf
+            and (gamma_prime is None or 1 < gamma_prime < math.inf)):
+        raise ValueError(f"need a finite gamma >= 1 (the linear type of an "
+                         f"irrational angle) and a finite gamma_prime > 1, "
+                         f"got {gamma} and {gamma_prime}")
     ref = family[0].reference
     if any(ps.reference != ref for ps in family):
         raise ValueError("family must share one reference system")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from skewstab.cli import _print_json, main
+from skewstab.configio import load_family, load_measure
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,10 +61,15 @@ def test_bound_bad_phi(capsys):
     ["bound", "--phi", "power:inf,1", "--M", "1", "--C", "1", "--eps", "0.01"],
     ["bound", "--phi", "power:1", "--M", "1", "--C", "1", "--eps", "0.01"],
     ["diophantine", "--theta", "liouville_j:x", "--depth", "5"],
-], ids=["bound-M-nan", "bound-C-inf", "bound-eps-nan", "bound-M-inf",
-        "prop-bahh-scale-nan", "sweep-gamma-nan", "power-C-nan",
-        "power-alpha-nan", "power-C-inf", "power-one-value",
-        "liouville-j-not-int"])
+] + [["sweep", "--config", str(ROOT / "configs" / "bahh_family.json"),
+      flag, value, "--out", "sweep.csv"]
+     for flag, value in (("--gamma-prime", "1"), ("--gamma", "-0.125"),
+                         ("--gamma", "0"), ("--gamma-prime", "0.5"))],
+    ids=["bound-M-nan", "bound-C-inf", "bound-eps-nan", "bound-M-inf",
+         "prop-bahh-scale-nan", "sweep-gamma-nan", "power-C-nan",
+         "power-alpha-nan", "power-C-inf", "power-one-value",
+         "liouville-j-not-int", "sweep-gamma-prime-1", "sweep-gamma-negative",
+         "sweep-gamma-0", "sweep-gamma-prime-half"])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, args):
     assert main(args + ["--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
@@ -117,22 +123,27 @@ def test_bound_reads_phi_table(tmp_path, capsys):
     assert float(capsys.readouterr().out) > 0
 
 
-@pytest.mark.parametrize("text", [
-    '{"xs": 5, "ys": [1, 0.5]}',
-    '{"xs": [1, 2], "ys": "ab"}',
-    '{"xs": [1, [2]], "ys": [1, 0.5]}',
-    '{"xs": [1, 2, 4], "ys": [1, NaN, 0.25]}',
-    '{"xs": [1, Infinity], "ys": [1, 0.5]}',
-    '[["xs", "ys"]]',
-], ids=["xs-int", "ys-string", "xs-nested", "ys-nan", "xs-inf", "not-object"])
-def test_bound_rejects_malformed_phi_table(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, message", [
+    ('{"xs": 5, "ys": [1, 0.5]}', "lists of numbers"),
+    ('{"xs": [1, 2], "ys": "ab"}', "lists of numbers"),
+    ('{"xs": [1, [2]], "ys": [1, 0.5]}', "lists of numbers"),
+    ('{"xs": [1, 2, 4], "ys": [1, NaN, 0.25]}', "finite"),
+    ('{"xs": [1, Infinity], "ys": [1, 0.5]}', "finite"),
+    ('[["xs", "ys"]]', "exactly keys xs, ys"),
+    # phi is interpolated in log-log, so a node at or below 0 has no log
+    ('{"xs": [0, 1], "ys": [2, 1]}', "xs must be positive"),
+    ('{"xs": [-1, 1], "ys": [2, 1]}', "xs must be positive"),
+    ('{"xs": [1, 2, 4], "ys": [2, 1]}', "3 xs but 2 ys"),
+], ids=["xs-int", "ys-string", "xs-nested", "ys-nan", "xs-inf", "not-object",
+        "xs-zero", "xs-negative", "length-mismatch"])
+def test_bound_rejects_malformed_phi_table(tmp_path, capsys, text, message):
     table = tmp_path / "phi.json"
     table.write_text(text)
     assert main(["bound", "--phi", f"table:{table}", "--M", "1", "--C", "1",
                  "--eps", "0.01"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error:") and message in captured.err
 
 
 def test_validate(doubling_path, capsys):
@@ -264,6 +275,23 @@ def test_decay_rerun_byte_identical(doubling_path, tmp_path):
     for name in ("decay.csv", "decay.csv.meta.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_decay_control_stays_flat_and_rotation_decays(tmp_path):
+    # the identity-fiber control (angle 0, empty indicator) never mixes the
+    # dipole delta_0 - delta_1/2, while the golden rotation does
+    def run(name):
+        assert main(["decay", "--config",
+                     str(ROOT / "configs" / f"{name}.json"), "--N", "64",
+                     "--nmax", "30", "--out-dir", str(tmp_path),
+                     "--out", f"{name}.csv"]) == 0
+        rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+        meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+        return ({float(row.split(",")[1]) for row in rows},
+                meta["results"]["slope"])
+
+    assert run("doubling_identity")[0] == {0.5}
+    assert run("doubling_rotation")[1] < 0
 
 
 def test_sweep_artifacts(tmp_path):
@@ -456,6 +484,19 @@ def test_example_prop_bahh(capsys):
     assert doc["lower_bound_inverse_k"]["pass"] is True
 
 
+@pytest.mark.parametrize("theta, angle", [("0.5", "1/2"),
+                                          ("1e-3", "1/1000")],
+                         ids=["decimal-0.5", "decimal-1e-3"])
+def test_example_prop_bahh_refuses_zero_delta(capsys, theta, angle):
+    # a decimal angle that is its own j-th convergent gives delta = 0: no
+    # perturbation, so no counterexample
+    assert main(["example", "prop-bahh", "--j", "1", "--theta", theta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: j = 1:")
+    assert f"angle {angle} is its own approximant" in captured.err
+
+
 def test_example_prop_30(capsys):
     assert main(["example", "prop-30", "--j", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -492,3 +533,16 @@ def test_diophantine(capsys):
     assert 0.9 < doc["gamma_hat"] < 1.1
     assert doc["is_rational"] is False
     assert all(len(s) == 3 for s in doc["samples"])
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_checked_in_config_loads(path, capsys):
+    doc = json.loads(path.read_text())
+    if "base" in doc:
+        assert main(["validate", "--config", str(path), "--N", "1024"]) == 0
+        assert capsys.readouterr().out == "ok\n"
+    elif "builtin" in doc:
+        assert load_measure(doc).n_cells == doc["n_cells"]
+    else:
+        assert load_family(doc).family
