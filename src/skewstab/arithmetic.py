@@ -209,12 +209,9 @@ class ApproximantPerturbation:
     delta: Fraction
     p: int
     k: int
-    tail_bound: Fraction
-    bound_ok: bool | None = None
 
 
-def approximant_perturbation(theta: AngleSpec, j: int,
-                             gamma_prime: float | None = None
+def approximant_perturbation(theta: AngleSpec, j: int
                              ) -> ApproximantPerturbation:
     """delta_j = p_j/k_j - theta for the j-th rational approximant.
 
@@ -234,7 +231,6 @@ def approximant_perturbation(theta: AngleSpec, j: int,
         k = partial.denominator
         p = partial.numerator
         delta = partial - theta.value
-        tail = theta.tail_bound
     else:
         if theta.provenance == "rational":
             raise ValueError("perturbations need an irrational angle")
@@ -243,11 +239,7 @@ def approximant_perturbation(theta: AngleSpec, j: int,
             raise ValueError(f"j = {j} beyond available depth")
         p, k = cf.convergents[j]
         delta = Fraction(p, k) - theta.value
-        tail = Fraction(0)
     if delta == 0:
         raise ValueError(f"j = {j}: the {theta.provenance} angle "
                          f"{theta.value} is its own approximant, delta_j = 0")
-    bound_ok = None
-    if gamma_prime is not None:
-        bound_ok = abs(delta) + tail <= Fraction(1, k) ** (gamma_prime - 1)
-    return ApproximantPerturbation(delta, p, k, tail, bound_ok)
+    return ApproximantPerturbation(delta, p, k)

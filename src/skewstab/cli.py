@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default="liouville_j:3",
                    help="angle for prop-bahh (default liouville_j:3)")
     p.add_argument("--scale", type=float, default=4.0,
-                   help="deformation gain for prop-bahh")
+                   help="deformation gain for prop-bahh, finite and > 0")
     p.set_defaults(fn=_cmd_example)
 
     p = sub.add_parser("diophantine", parents=[common],

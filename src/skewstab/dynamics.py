@@ -437,7 +437,6 @@ class InvariantResult:
     n_steps: int
     residual: float
     mass_drift: float
-    renormalized: bool
 
 
 def invariant_measure(sys: SkewSystem, tol: float = 1e-6, n_max: int = 200,
@@ -451,7 +450,7 @@ def invariant_measure(sys: SkewSystem, tol: float = 1e-6, n_max: int = 200,
     n_max steps, and returns the mu whose residual was measured.  So
     converged means l1_norm(L mu - mu) < tol for the returned measure,
     and residual is that number (math.inf when n_max = 0), unless the
-    mass drift exceeded 1e-9 and the measure was renormalized.
+    mass drift exceeded 1e-9 and the measure was rescaled to mass 1.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -469,25 +468,20 @@ def invariant_measure(sys: SkewSystem, tol: float = 1e-6, n_max: int = 200,
             break
         mu = nxt
     drift = float(mu.mass()) - 1.0
-    renorm = abs(drift) > 1e-9
-    if renorm:
+    if abs(drift) > 1e-9:
         mu = mu.scale(1.0 / (1.0 + drift))
-    return InvariantResult(mu, residual < tol, steps, residual, drift, renorm)
+    return InvariantResult(mu, residual < tol, steps, residual, drift)
 
 
 # -------------------------------------------------------------- LY checks
 
 @dataclass(frozen=True)
 class LyReport:
-    lhs: float
-    rhs: float
     margin: float
-    p: float
-    constants: dict
 
 
 def ly_check(sys: SkewSystem, dis: Disintegration, p: float) -> LyReport:
-    """Evaluates both sides of the fiberwise variation inequality
+    """Margin rhs - lhs of the fiberwise variation inequality
     var_p(L mu) <= lambda^p alpha var_p(mu) + (H_hat + 3 q alpha C_h
     A^(xi-p)) sup|mu_x| for a positive measure, at the fiber family's
     A."""
@@ -502,9 +496,7 @@ def ly_check(sys: SkewSystem, dis: Disintegration, p: float) -> LyReport:
     h_hat = sys.fiber.h_hat(p)
     extra = 3 * base.branch_count * alpha * base.c_h * A ** (base.xi - p)
     rhs = lam ** p * alpha * var_p(dis, p, A) + (h_hat + extra) * sup
-    return LyReport(lhs, rhs, rhs - lhs, p, {
-        "lambda": lam, "alpha": alpha, "H_hat": h_hat, "C_h": base.c_h,
-        "q": base.branch_count, "A": A})
+    return LyReport(rhs - lhs)
 
 
 # ------------------------------------------------------ operator distance

@@ -8,18 +8,18 @@ Disintegration(ids, table) is its one constructor; algebra, coarsening
 and the norms work on the table and the id array, so their cost scales
 with the number of distinct fibers rather than N.  Every sum of scaled
 fibers goes through _combine, which combine_cells runs once per distinct
-row of per-cell terms.  The built-in measures (uniform, rotation-orbit
-and Lebesgue) are built exact; their float form is the exact one rounded
-once.
+row of per-cell terms.  The built-in measures (uniform and Lebesgue)
+are built exact; their float form is the exact one rounded once.
 
 The W1 norm here is the dual Lipschitz norm with the extra sup bound
 (|g| <= 1, Lip(g) <= 1), the flat norm of the circle, in one closed form
 on the numerator arrays (delete the excess mass, transport the rest).
 
-var_p reads window oscillations off one interval-max table over the runs
-of equal ids.  Pair differences on a shared grid are formed in blocks.
-Their sums, like the balance test of W1, come from one long-double
-row-sum kernel with a certified error bound that returns math.fsum's bits.
+var_p reads the largest fiber distance in each window off one
+interval-max table over the runs of equal ids.  Pair differences on a
+shared grid are formed in blocks.  Their sums, like the balance test of
+W1, come from one long-double row-sum kernel with a certified error
+bound that returns math.fsum's bits.
 """
 
 from __future__ import annotations
@@ -40,14 +40,12 @@ __all__ = [
     "MarginalDensity",
     "w1_norm",
     "l1_norm",
-    "oscillation",
     "var_p",
     "pbv_norm",
     "marginal_density",
     "coarsen",
     "combine_cells",
     "uniform_fiber",
-    "rotation_orbit_fiber",
     "lebesgue_disintegration",
     "product_disintegration",
 ]
@@ -405,8 +403,8 @@ def _w1_flat(fm: FiberMeasure, m):
 
 def _w1_tableau(fm: FiberMeasure):
     """The same LP by the exact tableau over the atoms' exact values, the
-    method="lp" reference; float fibers convert through Fraction and get
-    a float back."""
+    reference the tests hold w1_norm to; float fibers convert through
+    Fraction and get a float back."""
     atoms = [(Fraction(p), Fraction(v)) for p, v in fm.atoms()]
     n, w = len(atoms), [v for _, v in atoms]
     # h = g + 1 in [0, 2] keeps the slack basis feasible
@@ -422,22 +420,16 @@ def _w1_tableau(fm: FiberMeasure):
     return val if fm.exact else float(val)
 
 
-def w1_norm(fm: FiberMeasure, *, method: str = "auto"):
+def w1_norm(fm: FiberMeasure):
     """Dual norm sup { integral g d(fm) : |g| <= 1, Lip(g) <= 1 } on the
-    circle (the flat norm).
-
-    method: "auto" evaluates the closed form at every size and scale
-    (exact fibers give Fractions), "lp" the exact tableau.  Near-balanced
-    float fibers count as balanced, an error <= 2|mass|; there is no
-    solver tolerance, so a small l1_norm (such as the residual that
-    invariant_measure stops on) is never a false zero.
+    circle (the flat norm), in closed form at every size and scale (exact
+    fibers give Fractions).  Near-balanced float fibers count as balanced,
+    an error <= 2|mass|; there is no solver tolerance, so a small l1_norm
+    (such as the residual that invariant_measure stops on) is never a
+    false zero.
     """
     if len(fm) == 0:
         return Fraction(0) if fm.exact else 0.0
-    if method == "lp":
-        return _w1_tableau(fm)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     # weights are never zero, so this is the single-signed test
     if not (fm.weights < 0).any() or not (fm.weights > 0).any():
         return abs(fm.mass())
@@ -562,7 +554,8 @@ def combine_cells(table: Sequence[FiberMeasure], terms: np.ndarray,
 
 
 def uniform_fiber(n_atoms: int, weight_total=1) -> FiberMeasure:
-    """Uniform exact measure: n atoms at j/n, total weight as given."""
+    """Uniform exact measure: n atoms at j/n, total weight as given (the
+    orbit of 0 under the rotation by p/n for any p prime to n)."""
     if n_atoms < 1:
         raise ValueError(f"fiber atom count must be >= 1, got {n_atoms}")
     # already canonical: positions j over n_atoms, one weight numerator
@@ -570,21 +563,6 @@ def uniform_fiber(n_atoms: int, weight_total=1) -> FiberMeasure:
     return _fiber(np.arange(n_atoms, dtype=object),
                   np.full(n_atoms, w.numerator, dtype=object),
                   n_atoms, w.denominator, presorted=True)
-
-
-def rotation_orbit_fiber(p: int, q: int, offset=0) -> FiberMeasure:
-    """Exact orbit measure of the rotation by p/q started at `offset`: q
-    atoms of weight 1/q at offset + j p/q mod 1."""
-    if math.gcd(p, q) != 1:
-        raise ValueError("p/q must be reduced")
-    # the orbit is the coset offset + (1/q)Z mod 1: over the common
-    # denominator den, the sorted positions start + j * den/q
-    off = Fraction(offset)
-    den = math.lcm(q, off.denominator)
-    step = den // q
-    start = off.numerator * (den // off.denominator) % step
-    return _fiber(start + step * np.arange(q, dtype=object),
-                  np.ones(q, dtype=object), den, q, presorted=True)
 
 
 def lebesgue_disintegration(n_cells: int, fiber_atoms: int,
@@ -688,30 +666,10 @@ def _interval_max(ids: np.ndarray, table, n: int, span: int):
     return m, run
 
 
-def _radius_cells(dis: Disintegration, r) -> int:
-    scaled = float(r) * dis.n_cells
-    if scaled < 1 - 1e-9:
-        raise ValueError("radius unresolvable")
-    j = int(round(scaled))
-    if abs(scaled - j) > 1e-9:
-        raise ValueError("radius must be a multiple of 1/n_cells")
-    return j
-
-
-def oscillation(dis: Disintegration, i: int, r) -> float:
-    """Max W1 distance between per-length fibers over pairs of cells whose
-    centers lie within r of cell i's center (the grid essential sup)."""
-    if not 0 <= i < dis.n_cells:
-        raise ValueError("cell index out of range")
-    j = _radius_cells(dis, r)
-    lo = max(0, i - j)
-    hi = min(dis.n_cells - 1, i + j)
-    m, _ = _interval_max(dis.ids[lo:hi + 1], dis.table, dis.n_cells, hi - lo)
-    return float(m[0, -1])
-
-
 def var_p(dis: Disintegration, p: float = 1.0, A: float = 0.5) -> float:
-    """sup over grid radii r = j/N <= ~A of (1/N) sum_i r^-p osc(i, r).
+    """sup over grid radii r = j/N <= ~A of (1/N) sum_i r^-p osc(i, r),
+    osc(i, r) the largest per-length W1 distance between fibers of cells
+    within r of cell i (the grid essential sup).
 
     The window of cell i covers a contiguous range of runs of equal ids,
     so osc(i, r) is one lookup in the interval-max table of those runs;
@@ -766,18 +724,12 @@ class MarginalDensity:
     """Piecewise-constant base marginal: values[i] = N * fibers[i].mass()."""
     values: np.ndarray
     sup_norm: float
-    bv_jump_sum: float
-
-    @property
-    def integral(self) -> float:
-        return float(np.mean(self.values))
 
 
 def marginal_density(dis: Disintegration) -> MarginalDensity:
     vals = np.array([float(f.mass()) for f in dis.table])[dis.ids] * dis.n_cells
     sup = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    bv = float(np.sum(np.abs(np.diff(vals))))
-    return MarginalDensity(values=vals, sup_norm=sup, bv_jump_sum=bv)
+    return MarginalDensity(values=vals, sup_norm=sup)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Small dense exact simplex solver: the reference for w1_norm(method="lp").
+"""Small dense exact simplex solver behind measures._w1_tableau, the exact
+reference that the tests compare w1_norm with.
 
 Solves  max c.x  subject to  A x <= b, x >= 0  with b >= 0, so the slack
 basis is feasible and no phase-one step is needed.  Every entry converts

@@ -30,7 +30,7 @@ from .measures import (
     l1_norm,
     lebesgue_disintegration,
     product_disintegration,
-    rotation_orbit_fiber,
+    uniform_fiber,
 )
 
 __all__ = [
@@ -187,7 +187,6 @@ class DecaySeries:
     description: str
     slope: float | None
     intercept: float | None
-    residuals: tuple
 
 
 def _tail_fit(ns, norms):
@@ -198,11 +197,12 @@ def _tail_fit(ns, norms):
             xs.append(math.log(n))
             ys.append(math.log(v))
     if len(xs) < 2:
-        return None, None, ()
+        return None, None
+    if len(set(ys)) == 1:
+        # a flat tail: polyfit would report its rounding as a slope
+        return 0.0, ys[0]
     slope, intercept = np.polyfit(xs, ys, 1)
-    resid = tuple(float(y - (slope * x + intercept))
-                  for x, y in zip(xs, ys))
-    return float(slope), float(intercept), resid
+    return float(slope), float(intercept)
 
 
 def equilibrium_decay(sys: SkewSystem, g: Disintegration, n_max: int,
@@ -222,10 +222,9 @@ def equilibrium_decay(sys: SkewSystem, g: Disintegration, n_max: int,
         cur = transfer_step(sys, cur, eps_f=eps_f)
         norms.append(max(0.0, float(l1_norm(cur))))
     ns = tuple(range(n_max + 1))
-    slope, intercept, resid = _tail_fit(ns, norms)
+    slope, intercept = _tail_fit(ns, norms)
     description = f"zero-mass disintegration on {g.n_cells} cells"
-    return DecaySeries(ns, tuple(norms), description, slope, intercept,
-                       resid)
+    return DecaySeries(ns, tuple(norms), description, slope, intercept)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -243,8 +242,6 @@ class SweepRow:
 class SweepTable:
     rows: tuple
     beta: float | None
-    gamma: float
-    gamma_prime: float | None
     K: float
 
     def upper_ok(self) -> list[bool]:
@@ -313,7 +310,7 @@ def stability_sweep(family: list, gamma: float,
     if len(pts) >= 2:
         beta = float(np.polyfit([p[0] for p in pts],
                                 [p[1] for p in pts], 1)[0])
-    return SweepTable(tuple(rows), beta, gamma, gamma_prime, K)
+    return SweepTable(tuple(rows), beta, K)
 
 
 # --------------------------------------------------- periodic-orbit example
@@ -327,7 +324,6 @@ class PropBahhSystem:
     pspec: PerturbationSpec
     mu_reference: Disintegration
     mu_orbit: Disintegration
-    mu_repeller: Disintegration
     j: int
     k: int
     delta: Fraction
@@ -345,8 +341,13 @@ def prop_bahh_system(theta: AngleSpec, j: int,
     construction), so the orbit product measures are exactly invariant.
     The deformation strength is |delta_j| * deformation_scale: the
     paper-scale size |delta_j| times a configurable gain that sets the
-    attraction rate of the orbit.
+    attraction rate of the orbit; it must be finite and > 0.
     """
+    if not 0 < deformation_scale < math.inf:
+        raise ValueError(
+            f"deformation_scale must be finite and > 0, got "
+            f"{deformation_scale}: at 0 the perturbed system is the bare "
+            f"rotation by p_j/k_j, which attracts no orbit")
     pert = approximant_perturbation(theta, j)
     k = pert.k
     if 2 * k > FIBER_ATOM_BUDGET:
@@ -361,14 +362,10 @@ def prop_bahh_system(theta: AngleSpec, j: int,
     perturbed = SkewSystem(linear_base(2), fam_d)
 
     mu_ref = lebesgue_disintegration(n_cells, 2 * k, exact=True)
-    mu_orb = product_disintegration(
-        n_cells, rotation_orbit_fiber(pert.p, pert.k))
-    mu_rep = product_disintegration(
-        n_cells, rotation_orbit_fiber(pert.p, pert.k,
-                                      offset=Fraction(1, 2 * k)))
+    mu_orb = product_disintegration(n_cells, uniform_fiber(k))
     pspec = PerturbationSpec(reference, perturbed, float(size),
                              invariant_distance=Fraction(1, 4 * k))
-    return PropBahhSystem(pspec, mu_ref, mu_orb, mu_rep, j, k, pert.delta,
+    return PropBahhSystem(pspec, mu_ref, mu_orb, j, k, pert.delta,
                           Fraction(1, 4 * k), deformation_scale)
 
 
@@ -484,8 +481,7 @@ def prop30_example(j: int) -> Prop30Report:
     theta = lacunary_theta(3)
     pert = approximant_perturbation(theta, j)
     n_cells = 16
-    mu_j = product_disintegration(
-        n_cells, rotation_orbit_fiber(pert.p, pert.k))
+    mu_j = product_disintegration(n_cells, uniform_fiber(pert.k))
     fm = mu_j.table[0]
     # identical fibers across all cells
     terms = [amp * _term_value(fm, freq) * n_cells

@@ -155,17 +155,17 @@ def test_lacunary_tail_bound_is_sound():
 
 def test_approximant_perturbation_lacunary():
     theta = lacunary_theta(3)
-    j1 = approximant_perturbation(theta, 1, gamma_prime=2.5)
+    j1 = approximant_perturbation(theta, 1)
     assert (j1.p, j1.k) == (1, 16)
     assert j1.delta == F(1, 16) - theta.value
     assert j1.delta < 0
     assert theta.value + j1.delta == F(1, 16)
-    assert j1.bound_ok
-    j2 = approximant_perturbation(theta, 2, gamma_prime=2.5)
+    assert abs(j1.delta) + theta.tail_bound <= F(1, j1.k) ** (2.5 - 1)
+    j2 = approximant_perturbation(theta, 2)
     assert (j2.p, j2.k) == (4097, 65536)
     assert j2.delta == -F(1, 2 ** 64)
     assert math.gcd(j2.p, j2.k) == 1
-    assert j2.bound_ok
+    assert abs(j2.delta) + theta.tail_bound <= F(1, j2.k) ** (2.5 - 1)
     with pytest.raises(ValueError, match="deeper truncation"):
         approximant_perturbation(theta, 3)
     with pytest.raises(ValueError, match="beyond available depth"):
@@ -174,11 +174,11 @@ def test_approximant_perturbation_lacunary():
 
 def test_approximant_perturbation_golden():
     golden = golden_angle()
-    pert = approximant_perturbation(golden, 5, gamma_prime=3.0)
+    pert = approximant_perturbation(golden, 5)
     assert (pert.p, pert.k) == (5, 8)
     assert float(pert.delta) == pytest.approx(0.0069660, abs=1e-6)
     assert abs(pert.delta) <= F(1, 64)
-    assert pert.bound_ok
+    assert abs(pert.delta) + golden.tail_bound <= F(1, pert.k) ** (3.0 - 1)
     with pytest.raises(ValueError, match="irrational"):
         approximant_perturbation(rational_angle(1, 3), 1)
 

@@ -54,6 +54,7 @@ def test_bound_bad_phi(capsys):
     ["bound", "--phi", "power:1,1", "--M", "1", "--C", "1", "--eps", "nan"],
     ["bound", "--phi", "power:1,1", "--M", "inf", "--C", "1", "--eps", "0.01"],
     ["example", "prop-bahh", "--j", "1", "--scale", "nan"],
+    ["example", "prop-bahh", "--j", "1", "--scale", "0"],
     ["sweep", "--config", str(ROOT / "configs" / "bahh_family.json"),
      "--gamma", "nan", "--out", "sweep.csv"],
     ["bound", "--phi", "power:nan,1", "--M", "1", "--C", "1", "--eps", "0.01"],
@@ -66,8 +67,8 @@ def test_bound_bad_phi(capsys):
      for flag, value in (("--gamma-prime", "1"), ("--gamma", "-0.125"),
                          ("--gamma", "0"), ("--gamma-prime", "0.5"))],
     ids=["bound-M-nan", "bound-C-inf", "bound-eps-nan", "bound-M-inf",
-         "prop-bahh-scale-nan", "sweep-gamma-nan", "power-C-nan",
-         "power-alpha-nan", "power-C-inf", "power-one-value",
+         "prop-bahh-scale-nan", "prop-bahh-scale-0", "sweep-gamma-nan",
+         "power-C-nan", "power-alpha-nan", "power-C-inf", "power-one-value",
          "liouville-j-not-int", "sweep-gamma-prime-1", "sweep-gamma-negative",
          "sweep-gamma-0", "sweep-gamma-prime-half"])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, args):
@@ -290,7 +291,9 @@ def test_decay_control_stays_flat_and_rotation_decays(tmp_path):
         return ({float(row.split(",")[1]) for row in rows},
                 meta["results"]["slope"])
 
-    assert run("doubling_identity")[0] == {0.5}
+    norms, slope = run("doubling_identity")
+    assert norms == {0.5}
+    assert slope == 0.0
     assert run("doubling_rotation")[1] < 0
 
 
@@ -311,10 +314,12 @@ def test_sweep_artifacts(tmp_path):
     ({"js": 5}, "js must be a list"),
     ({"gamma": [3]}, "expected number"),
     ({"deformation_scale": [4]}, "expected number"),
+    ({"deformation_scale": 0}, "finite and > 0"),
     ({"pipeline": {"n_max": [3]}}, "n_max must be a positive integer"),
     ({"js": [1.5]}, "j must be a positive integer"),
     ({"n_cells": 2.5}, "n_cells must be a positive integer"),
-], ids=["js-int", "gamma-list", "deformation-scale-list", "n-max-list",
+], ids=["js-int", "gamma-list", "deformation-scale-list",
+        "deformation-scale-zero", "n-max-list",
         "j-fraction", "n-cells-fraction"])
 def test_sweep_rejects_malformed_family(tmp_path, capsys, doc, message):
     p = tmp_path / "family.json"

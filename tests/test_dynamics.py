@@ -37,7 +37,7 @@ from skewstab.measures import (
     lebesgue_disintegration,
     marginal_density,
     product_disintegration,
-    rotation_orbit_fiber,
+    uniform_fiber,
 )
 
 GOLDEN = golden_angle()
@@ -225,7 +225,6 @@ def test_ly_margins_on_battery():
         for p in (1.0, 0.5):
             rep = ly_check(sys1, mu, p)
             assert rep.margin >= -2.0 / n_cells
-            assert rep.lhs >= 0 and rep.rhs >= 0
 
 
 def test_ly_rejects_signed_input():
@@ -317,15 +316,13 @@ def test_orbit_measure_exactly_invariant():
     fam = composite_family(Fraction(pert.p, pert.k), pert.delta, pert.k,
                            scale=4.0)
     sysb = SkewSystem(linear_base(2), fam)
-    muj = product_disintegration(
-        64, rotation_orbit_fiber(pert.p, pert.k))
+    muj = product_disintegration(64, uniform_fiber(pert.k))
     out = transfer_step(sysb, muj, eps_f=0)
     assert float(l1_norm(out - muj)) == 0.0
     assert out.fibers[0].exact
     # the repelling copy (orbit shifted by half a period gap) is invariant too
     rep = product_disintegration(
-        64, rotation_orbit_fiber(pert.p, pert.k,
-                                 offset=Fraction(1, 2 * pert.k)))
+        64, uniform_fiber(pert.k).translate(Fraction(1, 2 * pert.k)))
     outr = transfer_step(sysb, rep, eps_f=0)
     assert float(l1_norm(outr - rep)) == 0.0
 
@@ -360,7 +357,7 @@ def test_invariant_measure_reports_its_own_residual(tol, n_max, converged):
     sys1 = bump_system()
     res = invariant_measure(sys1, tol=tol, n_max=n_max, n_cells=32,
                             fiber_atoms=64)
-    assert res.converged is converged and not res.renormalized
+    assert res.converged is converged and abs(res.mass_drift) <= 1e-9
     residual = float(l1_norm(transfer_step(sys1, res.measure) - res.measure))
     assert residual == res.residual
     assert (residual < tol) is converged

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import (
     dense_grid_w1,
-    oscillation_direct,
     pair_w1_loop,
     pairwise_lp_w1,
     var_p_direct,
@@ -39,10 +38,8 @@ from skewstab.measures import (
     l1_norm,
     lebesgue_disintegration,
     marginal_density,
-    oscillation,
     pbv_norm,
     product_disintegration,
-    rotation_orbit_fiber,
     uniform_fiber,
     var_p,
     w1_norm,
@@ -54,6 +51,7 @@ from skewstab.measures import (
     _signed_mass,
     _sum_bounds,
     _w1_flat,
+    _w1_tableau,
 )
 
 
@@ -118,21 +116,21 @@ def test_w1_bounded_by_total_variation():
 
 def test_w1_adjacent_equals_full_pairwise_200_trials():
     for i, fm in enumerate(signed_fiber_measures(31, 200)):
-        assert w1_norm(fm, method="lp") == pytest.approx(
+        assert _w1_tableau(fm) == pytest.approx(
             pairwise_lp_w1(fm), abs=1e-9), f"case {i}"
 
 
 def test_w1_balanced_median_equals_lp():
     fm = FiberMeasure([[0.0], [0.25], [0.5], [0.75]], [1, -1, 1, -1])
     assert w1_norm(fm) == pytest.approx(0.5, abs=1e-12)
-    assert w1_norm(fm, method="lp") == pytest.approx(0.5, abs=1e-12)
+    assert _w1_tableau(fm) == pytest.approx(0.5, abs=1e-12)
     rng = np.random.default_rng(41)
     for _ in range(50):
         n = int(rng.integers(2, 7))
         w = rng.uniform(-1, 1, n)
         w[-1] = -np.sum(w[:-1])
         fm = FiberMeasure(rng.random((n, 1)), w)
-        assert w1_norm(fm) == pytest.approx(w1_norm(fm, method="lp"), abs=1e-9)
+        assert w1_norm(fm) == pytest.approx(_w1_tableau(fm), abs=1e-9)
 
 
 def test_w1_exact_backend_returns_fractions():
@@ -148,7 +146,7 @@ def test_w1_uniform_minus_orbit_closed_form():
     # 1/(4k) holds exactly when the finer count is an even multiple of k
     assert w1_norm(uniform_fiber(64) - uniform_fiber(4)) == F(1, 16)
     assert w1_norm(uniform_fiber(2048)
-                   - rotation_orbit_fiber(1, 16)) == F(1, 64)
+                   - uniform_fiber(16)) == F(1, 64)
 
 
 def test_w1_flat_matches_pairwise_lp_1000_fibers():
@@ -184,7 +182,7 @@ def test_w1_flat_equals_exact_tableau():
             continue
         value = _w1_flat(fm, _signed_mass(fm))
         assert isinstance(value, F)
-        assert value == w1_norm(fm, method="lp"), (pos, w)
+        assert value == _w1_tableau(fm), (pos, w)
         checked += 1
     assert checked > 250
 
@@ -195,7 +193,7 @@ def test_w1_exact_fiber_above_eight_atoms_is_fraction():
                        F(5, 2), F(-1, 4)])
     value = w1_norm(fm)
     assert isinstance(value, F)
-    assert value == w1_norm(fm, method="lp")
+    assert value == _w1_tableau(fm)
 
 
 def test_w1_small_scale_never_below_mass():
@@ -446,47 +444,6 @@ def test_l1_lebesgue_minus_uniform_orbit():
     assert l1_norm(diff) == F(1, 16)
 
 
-# ------------------------------------------------------------- oscillation
-
-def test_oscillation_x_constant_is_zero():
-    dis = product_disintegration(16, FiberMeasure([[0.2]], [1.0]))
-    for i in range(16):
-        assert oscillation(dis, i, 2 / 16) == 0.0
-
-
-def test_oscillation_spike_example():
-    n = 16
-    f0 = FiberMeasure([[0.0]], [1.0])
-    fh = FiberMeasure([[0.5]], [1.0])
-    dis = Disintegration([0] + [1] * (n - 1), [f0, fh])
-    assert oscillation(dis, 0, 2 / n) == pytest.approx(n * 0.5, abs=1e-9)
-
-
-def test_oscillation_monotone_in_radius():
-    for dis in signed_disintegrations(47, 5, 16):
-        prev = 0.0
-        for j in range(1, 8):
-            cur = oscillation(dis, 8, j / 16)
-            assert cur >= prev - 1e-12
-            prev = cur
-
-
-def test_oscillation_matches_direct_definition():
-    for dis in signed_disintegrations(53, 4, 12):
-        for i in (0, 5, 11):
-            for j in (1, 3, 6):
-                assert oscillation(dis, i, j / 12) == pytest.approx(
-                    oscillation_direct(dis, i, j / 12), abs=1e-9)
-
-
-def test_oscillation_radius_errors():
-    dis = lebesgue_disintegration(16, 4)
-    with pytest.raises(ValueError, match="radius unresolvable"):
-        oscillation(dis, 0, 1 / 64)
-    with pytest.raises(ValueError, match="multiple of 1/n_cells"):
-        oscillation(dis, 0, 0.11)
-
-
 # ------------------------------------------------------------------ var_p
 
 def single_jump(n: int) -> Disintegration:
@@ -546,7 +503,7 @@ def _pair_norm_cases() -> list[Disintegration]:
     mixed = shared[:3] + [FiberMeasure(off, base),
                           FiberMeasure(np.sort(rng.random(25)),
                                        rng.uniform(0, 1, 25) / 64)]
-    exact = [uniform_fiber(8, F(1, 16)), rotation_orbit_fiber(1, 4),
+    exact = [uniform_fiber(8, F(1, 16)), uniform_fiber(4),
              uniform_fiber(4, F(1, 16))]
     cases = []
     for table in (shared, mixed, exact, exact[:2] + shared[:2]):
@@ -576,10 +533,7 @@ def test_batched_pair_norms_equal_the_per_pair_loop(monkeypatch, block):
 
     def norms():
         return np.array([var_p(dis, p, A) for dis in cases
-                         for p, A in ((1.0, 0.5), (0.5, 0.25))]
-                        + [oscillation(dis, i, j / dis.n_cells)
-                           for dis in cases for i in (0, 5, dis.n_cells - 1)
-                           for j in (1, 3)])
+                         for p, A in ((1.0, 0.5), (0.5, 0.25))])
 
     got = norms()
     monkeypatch.setattr(measures, "_pair_w1", pair_w1_loop)
@@ -642,7 +596,6 @@ def test_pbv_fiber_sup_bound_on_spike():
 def test_marginal_lebesgue():
     md = marginal_density(lebesgue_disintegration(32, 4))
     assert md.values == pytest.approx(np.ones(32), abs=1e-12)
-    assert md.bv_jump_sum == pytest.approx(0.0, abs=1e-12)
     assert md.sup_norm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -660,7 +613,7 @@ def test_marginal_half_support():
 def test_marginal_integral_equals_mass():
     for dis in positive_disintegrations(73, 10, 32):
         md = marginal_density(dis)
-        assert md.integral == pytest.approx(dis.mass(), abs=1e-12)
+        assert np.mean(md.values) == pytest.approx(dis.mass(), abs=1e-12)
 
 
 # ------------------------------------------------------------- structure
@@ -726,9 +679,9 @@ def test_packed_operations_match_per_cell_loop():
                            _transfer_reference(sys, a, 2.0 ** -10))
     # an exact pair stays exact; an exact-float pair is summed in floats
     a = Disintegration([0, 1, 1, 0], [uniform_fiber(4),
-                                      rotation_orbit_fiber(1, 3, F(1, 8))])
+                                      uniform_fiber(3).translate(F(1, 8))])
     b = Disintegration([1, 0, 1, 1], [uniform_fiber(2, F(1, 2)),
-                                      rotation_orbit_fiber(2, 5)])
+                                      uniform_fiber(5)])
     for other, first in ((b, a), (b.to_float(), a.to_float())):
         out = a.lincomb(F(2, 3), other, F(-5, 7))
         assert all(f.exact == (other is b) for f in out.table)
@@ -761,11 +714,6 @@ def test_float_lebesgue_is_exact_rounded_once(n, m):
     exact = lebesgue_disintegration(n, m, exact=True).to_float().table[0]
     assert fm.content_key() == exact.content_key()
     assert fm.weights[0] == 1 / (n * m)
-
-
-def test_rotation_orbit_fiber_checks_gcd():
-    with pytest.raises(ValueError, match="reduced"):
-        rotation_orbit_fiber(2, 16)
 
 
 # ------------------------------------------------------------ hypothesis
