@@ -22,6 +22,7 @@ from .batteries import unit_pbv_battery
 from .measures import (
     Disintegration,
     FiberMeasure,
+    _apply_map_many,
     combine_cells,
     l1_norm,
     lebesgue_disintegration,
@@ -136,13 +137,16 @@ class _Pieces(NamedTuple):
     """The base map's action on the N-cell grid, one row per piece: the
     fraction fracs[code] of the mass of source cell src lands in output
     cell out.  Rows are ordered by output cell, then branch, then source
-    cell from left to right; cell k's rows are start[k]:start[k + 1]."""
+    cell from left to right; cell k's rows are start[k]:start[k + 1],
+    and row i is number slot[i] of its cell, below width."""
 
     out: np.ndarray
     src: np.ndarray
     code: np.ndarray
     fracs: tuple
     start: np.ndarray
+    slot: np.ndarray
+    width: int
 
 
 @lru_cache(maxsize=64)
@@ -175,9 +179,10 @@ def _pieces(base: BaseMap, n: int) -> _Pieces:
         fracs, code = np.unique((b - a)[keep][order] * n, return_inverse=True)
         fracs = tuple(fracs.tolist())
     start = np.searchsorted(out, np.arange(n + 1))
-    for arr in (out, src, code, start):
+    slot = np.arange(len(out)) - start[out]
+    for arr in (out, src, code, start, slot):
         arr.flags.writeable = False
-    return _Pieces(out, src, code, fracs, start)
+    return _Pieces(out, src, code, fracs, start, slot, int(slot.max()) + 1)
 
 
 def linear_base(l: int) -> BaseMap:
@@ -194,13 +199,17 @@ def precomposed_base(l: int, sigma: SineShift) -> BaseMap:
 _KNOTS = np.array([0.0, 1 / 3, 1 / 2, 2 / 3, 1.0])
 _VALUES = np.array([0.0, -1.0, 0.0, 1.0, 0.0])
 _DERIVS = np.array([-6.0, 0.0, 6.0, 0.0, -6.0])
+# per segment: its width (the bits of k1 - k0), and the value and
+# derivative at its right end
+_WIDTHS = _KNOTS[1:] - _KNOTS[:-1]
+_VALUES_1, _DERIVS_1 = _VALUES[1:], _DERIVS[1:]
 
 
 def _hermite_eval(t: np.ndarray) -> np.ndarray:
-    seg = np.minimum(np.maximum(
-        np.searchsorted(_KNOTS, t, side="right") - 1, 0), 3)
-    k0, k1 = _KNOTS.take(seg), _KNOTS.take(seg + 1)
-    h = k1 - k0
+    # segment 0..3 holding t; t < 0 counts as 0 and t >= 1 as 3
+    seg = (t >= _KNOTS[1]).astype(np.intp) + (t >= _KNOTS[2]) \
+        + (t >= _KNOTS[3])
+    k0, h = _KNOTS.take(seg), _WIDTHS.take(seg)
     s = (t - k0) / h
     s2, a, b = 2 * s, (1 - s) ** 2, s ** 2
     h00 = (1 + s2) * a
@@ -208,7 +217,7 @@ def _hermite_eval(t: np.ndarray) -> np.ndarray:
     h01 = b * (3 - s2)
     h11 = b * (s - 1)
     return (h00 * _VALUES.take(seg) + h10 * h * _DERIVS.take(seg)
-            + h01 * _VALUES.take(seg + 1) + h11 * h * _DERIVS.take(seg + 1))
+            + h01 * _VALUES_1.take(seg) + h11 * h * _DERIVS_1.take(seg))
 
 
 def _hermite_max_abs_deriv() -> float:
@@ -306,10 +315,21 @@ class FiberMapFamily:
         """Pushforward of a fiber by G(x, .) for x inside (member true) or
         outside the indicator set: the rotation by theta on the indicator
         set, then the deformation."""
-        out = fm.translate(self.theta) if member and self.theta != 0 else fm
-        if self.bump is not None and self.bump.strength != 0 \
-                and not self.bump.fixes(out):
-            out = out.apply_map(self.bump)
+        return self.push_many([(fm, member)])[0]
+
+    def push_many(self, items) -> list[FiberMeasure]:
+        """push(fm, member) for each (fm, member) pair.  The deformation
+        acts atom by atom, so it is evaluated once, on the distinct
+        position arrays of the rotated fibers together."""
+        out = [fm.translate(self.theta) if member and self.theta != 0 else fm
+               for fm, member in items]
+        bump = self.bump
+        if bump is None or bump.strength == 0:
+            return out
+        moved = [i for i, f in enumerate(out) if not bump.fixes(f)]
+        for i, f in zip(moved, _apply_map_many([out[i] for i in moved],
+                                               bump)):
+            out[i] = f
         return out
 
     def indicator_member(self, cell: int, n_cells: int) -> bool:
@@ -422,11 +442,15 @@ def transfer_step(sys: SkewSystem, dis: Disintegration,
         eps_f = _default_eps(n)
     t = _pieces(sys.base, n)
     key = dis.ids[t.src] * 2 + _membership(sys.fiber, n)[t.src]
-    used, key = np.unique(key, return_inverse=True)
-    pushed = [sys.fiber.push(dis.table[k >> 1], k & 1) for k in used.tolist()]
-    slot = np.arange(len(t.out)) - t.start[t.out]
-    terms = np.full((n, int(slot.max()) + 1), -1, dtype=np.int64)
-    terms[t.out, slot] = key * len(t.fracs) + t.code
+    # the used keys in increasing order, and each piece's rank among them
+    seen = np.zeros(2 * len(dis.table), dtype=bool)
+    seen[key] = True
+    used = np.flatnonzero(seen)
+    key = (np.cumsum(seen) - 1)[key]
+    pushed = sys.fiber.push_many([(dis.table[k >> 1], k & 1)
+                                  for k in used.tolist()])
+    terms = np.full((n, t.width), -1, dtype=np.int64)
+    terms[t.out, t.slot] = key * len(t.fracs) + t.code
     return combine_cells(pushed, terms, t.fracs, eps_f)
 
 

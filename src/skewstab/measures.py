@@ -4,7 +4,7 @@ A FiberMeasure is a finite signed atomic measure on the circle T = R/Z,
 stored as sorted 1-D position and weight arrays.  A Disintegration packs
 the fiber restrictions to the base cells [i/N,(i+1)/N) as an id per cell
 plus a table of content-distinct fibers numbered by first appearance, and
-Disintegration(ids, table) is its one constructor; algebra, coarsening
+Disintegration(ids, table) is its public constructor; algebra, coarsening
 and the norms work on the table and the id array, so their cost scales
 with the number of distinct fibers rather than N.  Every sum of scaled
 fibers goes through _combine, which combine_cells runs once per distinct
@@ -138,12 +138,16 @@ class FiberMeasure:
         """Canonical form from 1-D arrays: float64 values, or (q and r
         given) integer numerators over the denominators q and r.
 
-        Positions are reduced mod 1, put in order by a stable argsort and
-        coincident atoms merged by np.add.reduceat; presorted=True says
-        that has been done.  Weights below 1e-15 (float) or exactly zero
-        (exact) are dropped, and exact denominators are reduced by their
-        gcd with the numerators, so equal content means equal arrays and
-        denominators.
+        Positions are reduced mod 1 and put in the order of a stable
+        argsort, coincident atoms merged by np.add.reduceat; presorted=True
+        says that has been done.  A strictly increasing run is already in
+        that order, and a cyclic shift of one (one descent, last below
+        first: the push of a sorted fiber by a rotation or another
+        orientation-preserving circle map) is rotated back by two slices;
+        neither has ties, so only other inputs are sorted.  Weights below
+        1e-15 (float) or exactly zero (exact) are dropped, and exact
+        denominators are reduced by their gcd with the numerators, so equal
+        content means equal arrays and denominators.
         """
         exact = q is not None
         if not presorted and len(pos):
@@ -153,8 +157,16 @@ class FiberMeasure:
                 pos = pos - np.floor(pos)
                 pos[pos >= 1.0] = 0.0
             if len(pos) > 1:
-                order = np.argsort(pos, kind="stable")
-                pos, w = _merge_runs(pos[order], w[order])
+                rising = pos[1:] > pos[:-1]
+                if not rising.all():
+                    descents = np.flatnonzero(~rising)
+                    if len(descents) == 1 and pos[-1] < pos[0]:
+                        i = descents[0] + 1
+                        pos = np.concatenate((pos[i:], pos[:i]))
+                        w = np.concatenate((w[i:], w[:i]))
+                    else:
+                        order = np.argsort(pos, kind="stable")
+                        pos, w = _merge_runs(pos[order], w[order])
         keep = w != 0 if exact else np.abs(w) >= _DROP_TOL
         if not keep.all():
             pos, w = pos[keep], w[keep]
@@ -233,11 +245,29 @@ class FiberMeasure:
 
     def apply_map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "FiberMeasure":
         """Pushforward by a vectorized float map on positions."""
-        a = self.to_float()
-        if len(a) == 0:
-            return a
-        return _fiber(np.asarray(fn(a.positions), dtype=float).reshape(-1),
-                      a.weights)
+        return _apply_map_many([self], fn)[0]
+
+
+def _apply_map_many(fibers: Sequence[FiberMeasure],
+                    fn: Callable[[np.ndarray], np.ndarray]
+                    ) -> list[FiberMeasure]:
+    """[fm.apply_map(fn) for fm in fibers] for a map fn that acts atom by
+    atom: one call of fn on the distinct position arrays, concatenated."""
+    floats = [fm.to_float() for fm in fibers]
+    keys = [f.positions.tobytes() for f in floats]
+    distinct = {}
+    for f, key in zip(floats, keys):
+        if len(f):
+            distinct.setdefault(key, f.positions)
+    if not distinct:
+        return floats
+    images = np.asarray(fn(np.concatenate(list(distinct.values()))),
+                        dtype=float).reshape(-1)
+    image, start = {}, 0
+    for key, pos in distinct.items():
+        image[key], start = images[start:start + len(pos)], start + len(pos)
+    return [_fiber(image[key], f.weights) if len(f) else f
+            for f, key in zip(floats, keys)]
 
 
 def _times(values: np.ndarray, factor) -> np.ndarray:
@@ -253,7 +283,9 @@ def _combine(parts) -> FiberMeasure:
     ((p1 + p2) + p3), because a float sum depends on the order (one
     np.add.reduceat adds three coincident atoms as a + (b + c)).  Two
     parts on the same positions add elementwise, the o_i + a_i that
-    the merge of their concatenation computes.
+    the merge of their concatenation computes; other parts are canonical
+    (reduced mod 1, sorted and distinct), so their concatenation is only
+    sorted and merged.
     """
     if all(fm.exact and _is_exact_scalar(s) for fm, s in parts):
         dens = [fm.r * Fraction(s).denominator for fm, s in parts]
@@ -274,8 +306,17 @@ def _combine(parts) -> FiberMeasure:
             out = _fiber(a.positions, out.weights + a.weights,
                          presorted=True)
         else:
-            out = _fiber(np.concatenate((out.positions, a.positions)),
-                         np.concatenate((out.weights, a.weights)))
+            # each position occurs at most twice; a pair adds o + a, as
+            # np.add.reduceat of the pair would, and its zeroed second
+            # atom goes with the weights below 1e-15
+            pos = np.concatenate((out.positions, a.positions))
+            order = np.argsort(pos, kind="stable")
+            pos = pos[order]
+            w = np.concatenate((out.weights, a.weights))[order]
+            pair = np.flatnonzero(pos[1:] == pos[:-1])
+            w[pair] += w[pair + 1]
+            w[pair + 1] = 0.0
+            out = _fiber(pos, w, presorted=True)
     return out
 
 
@@ -289,6 +330,27 @@ def _lower_median(values: np.ndarray, weights: np.ndarray):
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
     return values[order[np.argmax(2 * cum >= cum[-1])]]
+
+
+def _median_is_zero(fm: FiberMeasure, prefix: np.ndarray,
+                    gaps: np.ndarray) -> bool:
+    """Whether _lower_median(prefix, gaps) of a float fiber is a zero,
+    decided without its sort when the gap sums are exact.
+
+    With every position a multiple of 2^-52 (as after coarsening to any
+    eps = 2^-k, k <= 52), every partial sum of the gaps, which total 1, is
+    a multiple of 2^-52 in [0, 1], exact in any order.  The running sums in sorted order then
+    reach half the total among the zeros exactly when
+    2 sum(gaps[prefix < 0]) < sum(gaps) <= 2 sum(gaps[prefix <= 0]).
+    Zero is the usual median for the difference of two nearby measures,
+    such as a residual L mu - mu."""
+    if fm.exact:
+        return False
+    grid = fm.positions * 2.0 ** 52
+    if not (np.floor(grid) == grid).all():
+        return False
+    total = gaps.sum()
+    return 2 * gaps[prefix < 0].sum() < total <= 2 * gaps[prefix <= 0].sum()
 
 
 def _isotonic_l1(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -348,12 +410,18 @@ def _signed_mass(fm: FiberMeasure):
     decide the test without math.fsum when they can."""
     if fm.exact:
         return sum(fm.weights.tolist())
-    w = fm.weights[None, :]
-    lo, hi, abs_lo, abs_hi = _sum_bounds(w)
-    if max(-lo[0], hi[0]) <= _BALANCE_RTOL * abs_lo[0]:
+    # _sum_bounds and _fsum_rows on the one row, in scalars
+    w, u, k = fm.weights, _LD_UNIT, len(fm.weights) - 1
+    s = w.sum(dtype=np.longdouble)
+    a = np.abs(w).sum(dtype=np.longdouble)
+    err = (k * u) / (1 - 2 * k * u) * (1 + 8 * u) * a + 2 * _LD_TINY
+    lo = float(np.nextafter(s - err, -np.inf))
+    hi = float(np.nextafter(s + err, np.inf))
+    if max(-lo, hi) <= _BALANCE_RTOL * float(np.nextafter(a - err, -np.inf)):
         return 0.0
-    m = float(_fsum_rows(w, lo, hi)[0])
-    if abs(m) > _BALANCE_RTOL * abs_hi[0]:
+    m = lo if lo == hi and lo != 0 and math.isfinite(lo) \
+        else math.fsum(w.tolist())
+    if abs(m) > _BALANCE_RTOL * float(np.nextafter(a + err, np.inf)):
         return m
     return 0.0 if abs(m) <= _BALANCE_RTOL * fm.abs_mass() else m
 
@@ -373,9 +441,14 @@ def _w1_flat(fm: FiberMeasure, m):
     over q * r.
     """
     prefix = np.cumsum(fm.weights)
-    gaps = np.diff(fm.positions, append=fm.positions[0] + fm.q)
+    pos = fm.positions
+    gaps = np.empty_like(pos)
+    np.subtract(pos[1:], pos[:-1], out=gaps[:-1])
+    gaps[-1] = (pos[0] + fm.q) - pos[-1]
     if m == 0:
-        best = np.dot(gaps, np.abs(prefix - _lower_median(prefix, gaps)))
+        center = 0.0 if _median_is_zero(fm, prefix, gaps) \
+            else _lower_median(prefix, gaps)
+        best = np.dot(gaps, np.abs(prefix - center))
     else:
         if m < 0:
             prefix, m = -prefix, -m
@@ -496,8 +569,9 @@ class Disintegration:
         """a * self + b * other, summed once per distinct pair of ids."""
         if self.n_cells != other.n_cells:
             raise ValueError("incompatible disintegrations")
-        terms = np.stack([2 * self.ids, 2 * (other.ids + len(self.table)) + 1],
-                         axis=1)
+        terms = np.empty((self.n_cells, 2), dtype=np.int64)
+        terms[:, 0] = 2 * self.ids
+        terms[:, 1] = 2 * (other.ids + len(self.table)) + 1
         return combine_cells(self.table + other.table, terms, (a, b), 0)
 
     def __add__(self, other: "Disintegration") -> "Disintegration":
@@ -537,17 +611,27 @@ def combine_cells(table: Sequence[FiberMeasure], terms: np.ndarray,
     coarsen; equal rows share one sum.
 
     Rows are grouped by a 1-D np.unique over an np.void view of each
-    int64 row; the order of the groups does not matter, since the table
-    is renumbered by first appearance."""
+    int64 row, unless they are all equal; the order of the groups does not
+    matter, since the table is renumbered by first appearance."""
     c = len(coefs)
     terms = np.ascontiguousarray(terms, dtype=np.int64)
+
+    def row_sum(row):
+        return coarsen(_combine([(table[t // c], coefs[t % c])
+                                 for t in row if t >= 0]), eps)
+
+    if len(terms) and (terms == terms[0]).all():
+        # one fiber: ids all 0 are already canonical
+        out = Disintegration.__new__(Disintegration)
+        out.n_cells, out.ids = len(terms), np.zeros(len(terms), dtype=np.int64)
+        out.ids.flags.writeable = False
+        out.table = (row_sum(terms[0].tolist()),)
+        return out
     keys = terms.view(np.dtype((np.void, terms.itemsize * terms.shape[1])))
     _, first, inv = np.unique(keys.reshape(-1), return_index=True,
                               return_inverse=True)
-    return Disintegration(inv, [
-        coarsen(_combine([(table[t // c], coefs[t % c])
-                          for t in row if t >= 0]), eps)
-        for row in terms[first].tolist()])
+    return Disintegration(inv, [row_sum(row)
+                                for row in terms[first].tolist()])
 
 
 # -- constructors -----------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -318,17 +318,28 @@ def stability_sweep(family: list, gamma: float,
 @dataclass(frozen=True)
 class PropBahhSystem:
     """The attracting-periodic-orbit perturbation of a translation skew
-    product, with its exact invariant measures and closed-form
-    distance."""
+    product, with its exact invariant measures on n_cells cells (built
+    on first use) and closed-form distance."""
 
     pspec: PerturbationSpec
-    mu_reference: Disintegration
-    mu_orbit: Disintegration
     j: int
     k: int
     delta: Fraction
     closed_form_distance: Fraction
     deformation_scale: float
+    n_cells: int
+
+    @cached_property
+    def mu_reference(self) -> Disintegration:
+        """Exact Lebesgue, 2 k atoms per fiber: invariant for the
+        reference rotation."""
+        return lebesgue_disintegration(self.n_cells, 2 * self.k, exact=True)
+
+    @cached_property
+    def mu_orbit(self) -> Disintegration:
+        """m (x) the uniform measure on the period-k orbit of 0: invariant
+        for the perturbed system."""
+        return product_disintegration(self.n_cells, uniform_fiber(self.k))
 
 
 def prop_bahh_system(theta: AngleSpec, j: int,
@@ -360,13 +371,12 @@ def prop_bahh_system(theta: AngleSpec, j: int,
                              scale=deformation_scale)
     reference = SkewSystem(linear_base(2), fam0)
     perturbed = SkewSystem(linear_base(2), fam_d)
-
-    mu_ref = lebesgue_disintegration(n_cells, 2 * k, exact=True)
-    mu_orb = product_disintegration(n_cells, uniform_fiber(k))
+    if n_cells < 1:
+        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     pspec = PerturbationSpec(reference, perturbed, float(size),
                              invariant_distance=Fraction(1, 4 * k))
-    return PropBahhSystem(pspec, mu_ref, mu_orb, j, k, pert.delta,
-                          Fraction(1, 4 * k), deformation_scale)
+    return PropBahhSystem(pspec, j, k, pert.delta, Fraction(1, 4 * k),
+                          deformation_scale, n_cells)
 
 
 # ----------------------------------------------------------- observable

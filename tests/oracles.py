@@ -5,16 +5,23 @@ atom program for the capped Lipschitz dual norm, direct definitional
 sums for oscillation and var_p, and the one-difference-at-a-time W1 loop
 that var_p's batched pair norms replace.  They share no code paths with
 the library shortcuts they check.
+
+The last group keeps the plain forms of kernels that have fast paths,
+for bit-for-bit comparisons: canonical form by a full stable sort, the
+cubic bump by searchsorted, and the balance test through the 2-D row-sum
+kernel.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from skewstab import dynamics, measures
 from skewstab.measures import Disintegration, FiberMeasure, w1_norm
 
 GRID_NODES = 10_000
@@ -172,3 +179,105 @@ def pair_w1_loop(table, pairs) -> np.ndarray:
     difference at a time: the reference for the batched pair norms."""
     return np.array([float(w1_norm(table[u] - table[v])) for u, v in pairs],
                     dtype=float)
+
+
+# -- plain forms of the kernels with fast paths -------------------------
+
+
+def canonical_by_sort(pos: np.ndarray, w: np.ndarray, q: int | None = None,
+                      r: int | None = None):
+    """(positions, weights, q, r) of the canonical fiber: positions reduced
+    mod 1 (or mod q, exact), a stable argsort, coincident atoms merged by
+    np.add.reduceat, weights below 1e-15 (or exact zeros) dropped and
+    exact denominators reduced."""
+    exact = q is not None
+    if len(pos):
+        if exact:
+            pos = pos % q
+        else:
+            pos = pos - np.floor(pos)
+            pos[pos >= 1.0] = 0.0
+        if len(pos) > 1:
+            order = np.argsort(pos, kind="stable")
+            pos, w = pos[order], w[order]
+            fresh = pos[1:] != pos[:-1]
+            if not fresh.all():
+                starts = np.flatnonzero(np.concatenate(([True], fresh)))
+                pos, w = pos[starts], np.add.reduceat(w, starts)
+    keep = w != 0 if exact else np.abs(w) >= 1e-15
+    pos, w = pos[keep], w[keep]
+    if exact:
+        g = math.gcd(q, *pos.tolist())
+        pos, q = (pos // g, q // g) if g > 1 else (pos, q)
+        g = math.gcd(r, *w.tolist())
+        w, r = (w // g, r // g) if g > 1 else (w, r)
+        return pos, w, q, r
+    return pos, w, 1, 1
+
+
+def hermite_by_search(t: np.ndarray) -> np.ndarray:
+    """The bump's cubic Hermite interpolant, its segment found by
+    searchsorted and clipped to 0..3."""
+    knots, values, derivs = dynamics._KNOTS, dynamics._VALUES, dynamics._DERIVS
+    seg = np.minimum(np.maximum(
+        np.searchsorted(knots, t, side="right") - 1, 0), 3)
+    k0, k1 = knots.take(seg), knots.take(seg + 1)
+    h = k1 - k0
+    s = (t - k0) / h
+    s2, a, b = 2 * s, (1 - s) ** 2, s ** 2
+    h00 = (1 + s2) * a
+    h10 = s * a
+    h01 = b * (3 - s2)
+    h11 = b * (s - 1)
+    return (h00 * values.take(seg) + h10 * h * derivs.take(seg)
+            + h01 * values.take(seg + 1) + h11 * h * derivs.take(seg + 1))
+
+
+def signed_mass_by_rows(fm: FiberMeasure):
+    """The W1 balance test on the fiber's weights as a 1-row array of the
+    row-sum kernel: the mass, or 0 when |mass| <= 1e-12 |weights|_1 (both
+    math.fsum values)."""
+    if fm.exact:
+        return sum(fm.weights.tolist())
+    w = fm.weights[None, :]
+    lo, hi, abs_lo, abs_hi = measures._sum_bounds(w)
+    if max(-lo[0], hi[0]) <= 1e-12 * abs_lo[0]:
+        return 0.0
+    m = float(measures._fsum_rows(w, lo, hi)[0])
+    if abs(m) > 1e-12 * abs_hi[0]:
+        return m
+    return 0.0 if abs(m) <= 1e-12 * fm.abs_mass() else m
+
+
+def combine_by_sort(parts) -> FiberMeasure:
+    """Float sum of s * fm over the (fm, s) pairs: each scaled part drops
+    weights below 1e-15, then the parts merge one after another, two on
+    equal positions elementwise and others through canonical_by_sort of
+    their concatenation."""
+    out = None
+    for fm, s in parts:
+        a = fm.to_float()
+        pos, w = a.positions, a.weights * float(s)
+        keep = np.abs(w) >= 1e-15
+        pos, w = pos[keep], w[keep]
+        if out is None:
+            out = pos, w
+        elif np.array_equal(out[0], pos):
+            w = out[1] + w
+            keep = np.abs(w) >= 1e-15
+            out = pos[keep], w[keep]
+        else:
+            out = canonical_by_sort(np.concatenate((out[0], pos)),
+                                    np.concatenate((out[1], w)))[:2]
+    return out
+
+
+def flat_balanced_by_sort(fm: FiberMeasure) -> float:
+    """The flat norm of a balanced float fiber, sum g_i |Q_i - c| with c
+    the lower weighted median of the prefix sums Q by a stable argsort."""
+    prefix = np.cumsum(fm.weights)
+    gaps = np.diff(fm.positions, append=fm.positions[0] + 1)
+    order = np.argsort(prefix, kind="stable")
+    cum = np.cumsum(gaps[order])
+    c = prefix[order[np.argmax(2 * cum >= cum[-1])]]
+    return float(np.dot(gaps, np.abs(prefix - c)))

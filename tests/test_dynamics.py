@@ -1,11 +1,16 @@
 """Transfer-operator mechanics: exactness of the grid step, conserved
 quantities, declared-constant inequalities, perturbation distances."""
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from oracles import hermite_by_search
 
 from skewstab.arithmetic import (
     approximant_perturbation,
@@ -30,7 +35,7 @@ from skewstab.dynamics import (
     transfer_step,
     translation_family,
 )
-from skewstab.dynamics import _pieces
+from skewstab.dynamics import _hermite_eval, _pieces
 from skewstab.measures import (
     FiberMeasure,
     l1_norm,
@@ -39,8 +44,10 @@ from skewstab.measures import (
     product_disintegration,
     uniform_fiber,
 )
+from skewstab.stability import prop_bahh_system
 
 GOLDEN = golden_angle()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def doubling_system(n_branches: int = 2) -> SkewSystem:
@@ -408,3 +415,59 @@ def test_operator_distance_vanishes_for_equal_systems():
     ps = PerturbationSpec(doubling_system(), doubling_system(), 0.0)
     od = operator_distance(ps, battery_size=4, seed=0)
     assert od.value == 0.0
+
+
+# ------------------------------------ cubic bump against its plain form
+
+def _knot_neighbours() -> list:
+    out = []
+    for k in [0.0, 1 / 3, 1 / 2, 2 / 3, 1.0]:
+        out += [np.nextafter(k, -np.inf), k, np.nextafter(k, np.inf)]
+    return out + [-0.0, -(2.0 ** -60)]
+
+
+@given(t=st.lists(st.floats(0, 1) | st.sampled_from(_knot_neighbours()),
+                  min_size=1, max_size=50))
+def test_hermite_segments_match_searchsorted(t):
+    t = np.array(t, dtype=float)
+    assert _hermite_eval(t).tobytes() == hermite_by_search(t).tobytes()
+
+
+def test_hermite_at_every_knot_and_its_neighbours():
+    t = np.concatenate((_knot_neighbours(), np.linspace(0, 1, 30001),
+                        np.random.default_rng(5).random(30000)))
+    assert _hermite_eval(t).tobytes() == hermite_by_search(t).tobytes()
+
+
+# -------------------------------------------------------- pinned runs
+
+def _measure_digest():
+    spec = importlib.util.spec_from_file_location(
+        "run_orbit_pipeline", ROOT / "scripts" / "run_orbit_pipeline.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.measure_digest
+
+
+def test_criterion7_loop_bits_are_pinned():
+    # 200 steps of criterion 7's perturbed system at N = 64, as the
+    # pipeline benchmark runs it but with no stop on the residual
+    ex = prop_bahh_system(lacunary_theta(3), 1, n_cells=64)
+    res = invariant_measure(ex.pspec.perturbed, tol=0, n_max=200,
+                            eps_f=2.0 ** -40, n_cells=64, fiber_atoms=2048)
+    assert res.n_steps == 200
+    assert res.residual == 3.035987677435515e-05
+    assert _measure_digest()(res.measure) == \
+        "fe9b847acb205dcbef207c66ba701c25fcb35586a703fbb81912608edc65f80e"
+
+
+def test_regularity_measure_bits_are_pinned():
+    # the pipeline benchmark's criterion-5 measure: precomposed base,
+    # N = 128, converged after 2 steps
+    system = SkewSystem(precomposed_base(2, SineShift(0.01)),
+                        translation_family(golden_angle()))
+    res = invariant_measure(system, tol=1e-6, n_max=800, n_cells=128,
+                            fiber_atoms=512)
+    assert res.n_steps == 2
+    assert _measure_digest()(res.measure) == \
+        "60caac941cff2fe55ceacfd9a29ffeed89f78379740b22be334d288505533ed5"

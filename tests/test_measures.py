@@ -8,9 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import (
+    canonical_by_sort,
+    combine_by_sort,
     dense_grid_w1,
+    flat_balanced_by_sort,
     pair_w1_loop,
     pairwise_lp_w1,
+    signed_mass_by_rows,
     var_p_direct,
 )
 from skewstab import measures
@@ -21,8 +25,10 @@ from skewstab.batteries import (
 )
 from skewstab.arithmetic import golden_angle
 from skewstab.dynamics import (
+    OrbitBump,
     SineShift,
     SkewSystem,
+    composite_family,
     identity_family,
     linear_base,
     precomposed_base,
@@ -45,8 +51,12 @@ from skewstab.measures import (
     w1_norm,
 )
 from skewstab.measures import (
+    _apply_map_many,
     _combine,
+    _fiber,
     _fsum_rows,
+    _lower_median,
+    _median_is_zero,
     _pair_w1,
     _signed_mass,
     _sum_bounds,
@@ -425,6 +435,7 @@ def test_combine_cells_groups_rows_like_unique_axis0():
                 for layout in (terms, np.asfortranarray(terms)):
                     out = combine_cells(table, layout, coefs, eps)
                     assert [f.content_key() for f in out.fibers] == want
+                    assert not out.ids.flags.writeable
 
 
 # ---------------------------------------------------------------- l1_norm
@@ -749,3 +760,245 @@ def test_hyp_coarsen_contract(ta, eps):
     out = coarsen(a, eps)
     assert abs(out.mass() - a.mass()) <= 1e-12
     assert abs(w1_norm(out) - w1_norm(a)) <= eps * a.abs_mass() + 1e-9
+
+
+# ------------------------------------- fast kernels against plain forms
+
+# Float arrays compare through tobytes, so -0.0 against 0.0 and any change
+# of rounding fail; exact fibers through their integer numerators and
+# denominators.
+
+# wrap to 0 (1.0, -0.0, -1.0, tiny negatives), sit next to it, or wrap
+# from outside [0, 1)
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 1 - 2.0 ** -53, -(2.0 ** -60),
+           2.0 ** -1074, 1.5, -0.25, 0.25]
+
+
+def _layout(data, values: list) -> list:
+    """values sorted, as a cyclic shift of the sorted list, shuffled, or
+    as drawn."""
+    kind = data.draw(st.sampled_from(["sorted", "rotated", "shuffled",
+                                      "drawn"]))
+    if kind == "drawn":
+        return values
+    values = sorted(values)
+    if kind == "rotated":
+        i = data.draw(st.integers(0, len(values)))
+        return values[i:] + values[:i]
+    if kind == "shuffled":
+        return data.draw(st.permutations(values))
+    return values
+
+
+def _with_copies(data, values: list, offsets: list) -> list:
+    """Repeat some atoms once or twice (2 or 3 coincident atoms), each copy
+    shifted by a whole number from offsets, so that it meets its original
+    only after the reduction mod 1 (across the wrap)."""
+    out = list(values)
+    for v in data.draw(st.lists(st.sampled_from(values), max_size=4)):
+        for _ in range(data.draw(st.integers(1, 2))):
+            at = data.draw(st.integers(0, len(out)))
+            out.insert(at, v + data.draw(st.sampled_from(offsets)))
+    return out
+
+
+def _same_float(fm: FiberMeasure, want) -> None:
+    pos, w, q, r = want
+    assert not fm.exact and (fm.q, fm.r) == (q, r)
+    assert fm.positions.dtype == w.dtype == np.float64
+    assert fm.positions.tobytes() == pos.tobytes()
+    assert fm.weights.tobytes() == w.tobytes()
+
+
+def _same_exact(fm: FiberMeasure, want) -> None:
+    pos, w, q, r = want
+    assert fm.exact and (fm.q, fm.r) == (q, r)
+    assert fm.positions.dtype == fm.weights.dtype == object
+    assert fm.positions.tolist() == pos.tolist()
+    assert fm.weights.tolist() == w.tolist()
+    assert all(type(v) is int for v in fm.positions.tolist()
+               + fm.weights.tolist())
+
+
+@given(data=st.data())
+def test_float_canonical_form_matches_full_sort(data):
+    values = data.draw(st.lists(
+        st.floats(0, 1, exclude_max=True) | st.sampled_from(SPECIAL),
+        min_size=1, max_size=30))
+    values = _with_copies(data, _layout(data, values), [0.0, 1.0, -1.0])
+    w = data.draw(st.lists(
+        st.floats(-4, 4) | st.sampled_from([1e-16, -5e-16, 1e-15, 0.0]),
+        min_size=len(values), max_size=len(values)))
+    pos, w = np.array(values, dtype=float), np.array(w, dtype=float)
+    _same_float(_fiber(pos.copy(), w.copy()),
+                canonical_by_sort(pos.copy(), w.copy()))
+
+
+@given(data=st.data())
+def test_exact_canonical_form_matches_full_sort(data):
+    q = data.draw(st.integers(1, 24))
+    values = data.draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                max_size=24))
+    values = _with_copies(data, _layout(data, values), [0, q, -q, 2 * q])
+    w = data.draw(st.lists(st.integers(-5, 5), min_size=len(values),
+                           max_size=len(values)))
+    r = data.draw(st.integers(1, 12))
+    pos, w = np.array(values, dtype=object), np.array(w, dtype=object)
+    _same_exact(_fiber(pos.copy(), w.copy(), q, r),
+                canonical_by_sort(pos.copy(), w.copy(), q, r))
+
+
+@pytest.mark.parametrize("shift", [0, 1, 37, 499, 500])
+@pytest.mark.parametrize("offset", [0.0, 1.0, -1.0])
+def test_rotated_sorted_fiber_takes_the_same_order(shift, offset):
+    # the push of a sorted fiber by a rotation or the bump: one descent
+    rng = np.random.default_rng(shift)
+    pos = np.roll(np.sort(rng.random(500)), -shift) + offset
+    w = rng.normal(size=500)
+    _same_float(_fiber(pos.copy(), w.copy()),
+                canonical_by_sort(pos.copy(), w.copy()))
+
+
+def test_pushes_of_a_sorted_fiber_match_full_sort():
+    fm = uniform_fiber(2048).to_float()
+    fam = composite_family(golden_angle(), 2.0 ** -9, 16)
+    rotated = fm.positions + float(fam.theta)
+    bumped = fam.bump(rotated - np.floor(rotated))
+    for pos in (rotated, bumped, fam.bump(fm.positions)):
+        _same_float(_fiber(pos.copy(), fm.weights),
+                    canonical_by_sort(pos.copy(), fm.weights))
+
+
+@given(data=st.data())
+def test_deformation_of_many_fibers_matches_one_at_a_time(data):
+    bump = OrbitBump(data.draw(st.sampled_from([1, 2, 16])), 2.0 ** -9)
+    base = [uniform_fiber(7).to_float(), uniform_fiber(12),
+            FiberMeasure([[0.1], [0.6]], [1.0, -2.0]),
+            FiberMeasure([], [])]
+    fibers = data.draw(st.lists(st.sampled_from(base), min_size=1,
+                                max_size=6))
+    for fm, got in zip(fibers, _apply_map_many(fibers, bump)):
+        a = fm.to_float()
+        want = canonical_by_sort(bump(a.positions), a.weights)
+        _same_float(got, want)
+
+
+# ------------------------------------------------------ balance test
+
+def _raw_fiber(w) -> FiberMeasure:
+    # weights as given: the constructor would drop the subnormal ones
+    fm = FiberMeasure.__new__(FiberMeasure)
+    fm.exact, fm.q, fm.r, fm._key = False, 1, 1, None
+    fm.weights = np.array(w, dtype=float)
+    fm.positions = np.arange(len(w)) / len(w)
+    return fm
+
+
+def _same_outcome(fm: FiberMeasure) -> None:
+    try:
+        want = signed_mass_by_rows(fm)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _signed_mass(fm)
+        return
+    got = _signed_mass(fm)
+    assert type(got) is type(want)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@given(half=st.lists(st.integers(1, 2 ** 30), min_size=1, max_size=40),
+       step=st.sampled_from([0, 1e-9, 1e-6, 1e-3, 0.5, -1e-9, -1e-3]),
+       sign=st.sampled_from([1, -1]))
+def test_balance_test_near_threshold_matches_rows(half, step, sign):
+    x = np.array(half) * 2.0 ** -30
+    t = 1e-12 * 2 * math.fsum(x.tolist()) * (1 + step)
+    _same_outcome(_raw_fiber(np.concatenate((x, -x, [sign * t]))))
+
+
+@given(w=st.lists(st.sampled_from([5e-324, -5e-324, 1e-310, -3e-310,
+                                   2.0 ** -1022, 1e-300, -1e-300]),
+                  min_size=1, max_size=30))
+def test_balance_test_on_subnormal_rows_matches_rows(w):
+    _same_outcome(_raw_fiber(w))
+
+
+@given(w=st.lists(st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 1.0,
+                                   -2.0]),
+                  min_size=1, max_size=12))
+def test_balance_test_on_overflowing_rows_matches_rows(w):
+    with np.errstate(over="ignore"):
+        _same_outcome(_raw_fiber(w))
+
+
+def test_balance_test_on_exact_fibers_matches_rows():
+    fm = uniform_fiber(6) - uniform_fiber(4)
+    assert _signed_mass(fm) == signed_mass_by_rows(fm) == 0
+    fm = uniform_fiber(6, 2) - uniform_fiber(4)
+    assert _signed_mass(fm) == signed_mass_by_rows(fm) == fm.r
+
+
+# ------------------------------------------------------ sums of fibers
+
+def _grid_fiber(data, grid: int, size: int) -> FiberMeasure:
+    cells = data.draw(st.lists(st.integers(0, grid - 1), min_size=1,
+                               max_size=size, unique=True))
+    w = data.draw(st.lists(
+        st.floats(-2, 2) | st.sampled_from([1e-16, 3.0, -3.0]),
+        min_size=len(cells), max_size=len(cells)))
+    return FiberMeasure(np.array(cells) / grid, w)
+
+
+@given(data=st.data())
+def test_combine_matches_merge_by_full_sort(data):
+    # coincident atoms on a shared grid, and cancellations to below 1e-15
+    grid = data.draw(st.sampled_from([8, 12, 1000]))
+    parts = [(_grid_fiber(data, grid, 12),
+              data.draw(st.sampled_from([1, -1, 0.5, 2.5, F(1, 3)])))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    if data.draw(st.booleans()):
+        fm, _ = parts[0]
+        parts.append((fm, -1))
+    _same_float(_combine(parts), (*combine_by_sort(parts), 1, 1))
+
+
+# ------------------------------------------------------ balanced W1
+
+@given(data=st.data())
+def test_balanced_flat_norm_matches_full_sort(data):
+    # positions on a dyadic grid (exact gap sums) or not; weights in +-
+    # pairs of dyadic values, so the mass is exactly 0
+    grid = data.draw(st.sampled_from([2 ** 5, 2 ** 40, 3 * 2 ** 4, 1000]))
+    cells = data.draw(st.lists(st.integers(0, grid - 1), min_size=2,
+                               max_size=40, unique=True))
+    half = data.draw(st.lists(st.integers(1, 6), min_size=len(cells) // 2,
+                              max_size=len(cells) // 2))
+    w = [v * 2.0 ** -7 for v in half] + [-v * 2.0 ** -7 for v in half]
+    w = data.draw(st.permutations(w + [0.0] * (len(cells) % 2)))
+    fm = FiberMeasure(np.array(cells) / grid, w)
+    if len(fm) < 2:
+        return
+    got = _w1_flat(fm, 0.0)
+    assert np.float64(got).tobytes() == \
+        np.float64(flat_balanced_by_sort(fm)).tobytes()
+    prefix = np.cumsum(fm.weights)
+    gaps = np.diff(fm.positions, append=fm.positions[0] + 1)
+    if _median_is_zero(fm, prefix, gaps):
+        assert _lower_median(prefix, gaps) == 0
+
+
+@pytest.mark.parametrize("pos, w, zero, median", [
+    ([0.25, 0.5, 0.75], [1.0, -1.0, 0.0], True, 0.0),
+    # off the dyadic grid the gap sums round, and the sort decides
+    ([0.1, 0.5, 0.7], [1.0, -1.0, 0.0], False, 0.0),
+    # the negative prefix sums hold exactly half the gaps: the median is
+    # the last of them
+    ([0.0, 0.25, 0.5, 0.75], [-1.0, 1.0, -1.0, 1.0], False, -1.0),
+    # no prefix sum is 0
+    ([0.0, 0.5], [1.0, -1.0 + 2.0 ** -20], False, 2.0 ** -20),
+])
+def test_zero_median_needs_exact_gap_sums(pos, w, zero, median):
+    fm = FiberMeasure(pos, w)
+    prefix = np.cumsum(fm.weights)
+    gaps = np.diff(fm.positions, append=fm.positions[0] + 1)
+    assert _median_is_zero(fm, prefix, gaps) == zero
+    assert _lower_median(prefix, gaps) == median

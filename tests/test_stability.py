@@ -1,13 +1,16 @@
 """Bound calculator arithmetic, decay experiments, and the exact
 periodic-orbit counterexamples."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from skewstab import stability
 from skewstab.arithmetic import golden_angle, lacunary_theta
+from skewstab.cli import main
 from skewstab.dynamics import (
     PerturbationSpec,
     SkewSystem,
@@ -19,6 +22,7 @@ from skewstab.dynamics import (
 from skewstab.measures import (
     FiberMeasure,
     l1_norm,
+    lebesgue_disintegration,
     product_disintegration,
     uniform_fiber,
 )
@@ -263,6 +267,43 @@ def test_prop_bahh_orbit_invariance_and_repeller():
     for mu in (ex.mu_orbit, repeller):
         out = transfer_step(ex.pspec.perturbed, mu, eps_f=0)
         assert float(l1_norm(out - mu)) == 0.0
+
+
+def test_prop_bahh_example_builds_no_measure(monkeypatch, capsys):
+    # example prop-bahh reads neither exact measure, so neither is built
+    calls = []
+    for name in ("lebesgue_disintegration", "product_disintegration"):
+        real = getattr(stability, name)
+        monkeypatch.setattr(stability, name, lambda *a, _f=real, _n=name,
+                            **k: calls.append(_n) or _f(*a, **k))
+    assert main(["example", "prop-bahh", "--j", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == 2 ** 16
+    assert calls == []
+    ex = prop_bahh_system(lacunary_theta(3), 2, n_cells=8)
+    assert calls == []
+    ex.mu_orbit, ex.mu_reference, ex.mu_orbit
+    assert calls == ["product_disintegration", "lebesgue_disintegration"]
+
+
+@pytest.mark.parametrize("j, n_cells", [(1, 64), (1, 4), (2, 2)])
+def test_prop_bahh_lazy_measures_equal_eager_construction(j, n_cells):
+    ex = prop_bahh_system(lacunary_theta(3), j, n_cells=n_cells)
+    assert ex.n_cells == n_cells
+    eager = {"mu_reference": lebesgue_disintegration(n_cells, 2 * ex.k,
+                                                     exact=True),
+             "mu_orbit": product_disintegration(n_cells,
+                                                uniform_fiber(ex.k))}
+    for name, want in eager.items():
+        got = getattr(ex, name)
+        assert got is getattr(ex, name)
+        assert got.ids.tolist() == want.ids.tolist()
+        assert [f.content_key() for f in got.table] == \
+            [f.content_key() for f in want.table]
+
+
+def test_prop_bahh_refuses_empty_grid():
+    with pytest.raises(ValueError, match="n_cells must be >= 1"):
+        prop_bahh_system(lacunary_theta(3), 1, n_cells=0)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
