@@ -387,16 +387,14 @@ def _sweep_job(doc: dict, family: list) -> SweepJob:
 def load_family(doc: dict) -> SweepJob:
     kind = _kind(doc, "family")
     if kind == "prop-bahh":
+        # closed-form distances: no pipeline runs, no measure is built
         _require(doc, {"kind", "theta", "js", "gamma"},
-                 {"gamma_prime", "deformation_scale", "n_cells", "pipeline"},
-                 "family")
+                 {"gamma_prime", "deformation_scale"}, "family")
         theta = parse_angle(doc["theta"])
         kw = {}
         if "deformation_scale" in doc:
             kw["deformation_scale"] = float(
                 _parse_scalar(doc["deformation_scale"]))
-        if "n_cells" in doc:
-            kw["n_cells"] = _positive_int(doc, "n_cells", "family")
         js = [_positive_int({"j": j}, "j", "family js")
               for j in _list(doc, "js")]
         return _sweep_job(doc, [prop_bahh_system(theta, j, **kw).pspec

@@ -315,12 +315,15 @@ def test_sweep_artifacts(tmp_path):
     ({"gamma": [3]}, "expected number"),
     ({"deformation_scale": [4]}, "expected number"),
     ({"deformation_scale": 0}, "finite and > 0"),
-    ({"pipeline": {"n_max": [3]}}, "n_max must be a positive integer"),
+    # a prop-bahh family runs no pipeline and builds no measure
+    ({"pipeline": {"n_max": [3]}}, "unknown keys ['pipeline']"),
     ({"js": [1.5]}, "j must be a positive integer"),
-    ({"n_cells": 2.5}, "n_cells must be a positive integer"),
+    ({"n_cells": 2.5}, "unknown keys ['n_cells']"),
+    ({"n_cells": 16, "pipeline": {"n_max": 3}},
+     "unknown keys ['n_cells', 'pipeline']"),
 ], ids=["js-int", "gamma-list", "deformation-scale-list",
         "deformation-scale-zero", "n-max-list",
-        "j-fraction", "n-cells-fraction"])
+        "j-fraction", "n-cells-fraction", "n-cells-and-pipeline"])
 def test_sweep_rejects_malformed_family(tmp_path, capsys, doc, message):
     p = tmp_path / "family.json"
     p.write_text(json.dumps(dict(BAHH_FAMILY, **doc)))
@@ -503,12 +506,13 @@ def test_example_prop_bahh_refuses_zero_delta(capsys, theta, angle):
 
 
 def test_example_prop_30(capsys):
-    assert main(["example", "prop-30", "--j", "1"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["value_float"] == pytest.approx(2 ** -8 + 2 ** -32)
-    assert doc["lebesgue_value"] == "0"
-    assert doc["bounds"]["half_amplitude"]["pass"] is True
-    assert doc["bounds"]["sqrt_delta"]["pass"] is True
+    for j, value in [(1, 2 ** -8 + 2 ** -32), (2, 2 ** -32)]:
+        assert main(["example", "prop-30", "--j", str(j)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value_float"] == pytest.approx(value)
+        assert doc["lebesgue_value"] == "0"
+        assert doc["bounds"]["half_amplitude"]["pass"] is True
+        assert doc["bounds"]["sqrt_delta"]["pass"] is True
 
 
 def test_example_prop_30_refusal(capsys):

@@ -173,6 +173,10 @@ def test_family_prop_bahh():
     assert len(job.family) == 1
     assert job.family[0].invariant_distance == Fraction(1, 64)
     assert job.gamma_prime == 2.5
+    # its distances are closed forms: no pipeline, no measure on n_cells
+    for extra in ({"n_cells": 16}, {"pipeline": {"n_max": 3}}):
+        with pytest.raises(ValueError, match="unknown keys"):
+            load_family(dict(doc, **extra))
 
 
 def test_family_errors():

@@ -264,7 +264,13 @@ def test_h_hat_values():
 
 def test_bump_shape():
     bump = OrbitBump(16, 2.0 ** -14)
-    assert bump.max_g_prime() == pytest.approx(8 * 16)
+    assert bump.max_g_prime() == 128.0
+    # difference quotients of the unit bump on a fine grid peak at 8, at
+    # the grid point 4/9
+    n = 9 * 2 ** 14
+    slopes = np.abs(np.diff(_hermite_eval(np.arange(n + 1) / n))) * n
+    assert 8 - 1e-7 < slopes.max() <= 8 + 1e-9
+    assert np.argmax(slopes) == 4 * n // 9
     y = np.array([0.0, 1 / 16, 1 / 32, 3 / 32, 1 / 48, 1 / 24])
     g = bump.g(y)
     assert g[0] == 0 and abs(g[1]) < 1e-12 and abs(g[2]) < 1e-12

@@ -34,7 +34,6 @@ from skewstab.stability import (
     equilibrium_decay,
     holder_exponent,
     prop30_example,
-    prop30_observable_average,
     prop_bahh_system,
     psi_inverse,
     stability_bound,
@@ -321,29 +320,20 @@ def test_prop_bahh_budget_refusal():
 
 # --------------------------------------------------------------- prop 30
 
-def test_prop30_j1_exact():
-    r = prop30_example(1)
-    assert r.value == (Fraction(1, 2 ** 8) + Fraction(1, 2 ** 32)
-                       + Fraction(1, 2 ** 128) + Fraction(1, 2 ** 512))
-    assert r.lebesgue_value == 0
+@pytest.mark.parametrize("j, exponents", [(1, (8, 32, 128, 512)),
+                                           (2, (32, 128, 512))],
+                         ids=["j1", "j2"])
+def test_prop30_exact(j, exponents):
+    # terms i < j vanish exactly; the others read their squared amplitudes
+    r = prop30_example(j)
+    assert r.value == sum(Fraction(1, 2 ** e) for e in exponents)
+    assert r.lebesgue_value == Fraction(0)
     assert isinstance(r.lebesgue_value, Fraction)
     assert r.half_amplitude_ok and r.sqrt_delta_ok
     assert float(r.value) >= 0.9 * math.sqrt(abs(float(r.delta)))
     assert 0 < r.tail_bound < Fraction(1, 2 ** 1000)
 
 
-def test_prop30_observable_float_path_matches():
-    theta = lacunary_theta(3)
-    ex = prop_bahh_system(theta, 1)
-    exact_val = prop30_observable_average(2, ex.mu_orbit)
-    float_val = prop30_observable_average(2, ex.mu_orbit.to_float())
-    assert isinstance(exact_val, Fraction)
-    assert float(exact_val) == pytest.approx(float_val, abs=1e-12)
-
-
 def test_prop30_refusals():
     with pytest.raises(ValueError, match="refused"):
         prop30_example(3)
-    ex = prop_bahh_system(lacunary_theta(3), 1)
-    with pytest.raises(ValueError, match="j_max_terms"):
-        prop30_observable_average(5, ex.mu_orbit)
