@@ -3,8 +3,8 @@
 Parses configs, dispatches to the library, and writes reproducible
 artifacts: every file output gets a sibling <name>.meta.json embedding
 the resolved config and artifact version.  Exit codes: 0 success, 2
-validation error, 3 numeric failure (non-convergence without
---allow-partial).
+validation error, 3 numeric failure (invariant's non-convergence
+without --allow-partial).
 """
 
 from __future__ import annotations
@@ -152,24 +152,17 @@ def _cmd_sweep(args) -> int:
     gamma = args.gamma if args.gamma is not None else job.gamma
     gamma_prime = args.gamma_prime if args.gamma_prime is not None \
         else job.gamma_prime
-    table = stability_sweep(job.family, gamma, gamma_prime=gamma_prime,
-                            pipeline=job.pipeline)
+    table = stability_sweep(job.pairs, gamma, gamma_prime=gamma_prime)
     out = _resolve_out(args, args.out)
     _write_csv(out, ["delta", "distance", "lower_bound", "upper_bound_fit"],
                [(r.delta, r.distance, r.lower_bound, r.upper_bound_fit)
                 for r in table.rows])
-    bad = [r.delta for r in table.rows if not r.converged]
     resolved = {"family": config, "gamma": gamma,
                 "gamma_prime": gamma_prime}
     _write_meta(args, out, "sweep", resolved,
                 extra={"K": table.K, "beta": table.beta,
                        "upper_ok": table.upper_ok(),
-                       "lower_ok": table.lower_ok(),
-                       "unconverged_deltas": bad},
-                partial=bool(bad))
-    if bad and not args.allow_partial:
-        print(f"sweep: {len(bad)} rows did not converge", file=sys.stderr)
-        return 3
+                       "lower_ok": table.lower_ok()})
     return 0
 
 
@@ -304,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="recorded in artifact metadata (default 0)")
     common.add_argument("--out-dir", default=".",
                         help="directory for relative output paths")
-    common.add_argument("--allow-partial", action="store_true",
-                        help="exit 0 on non-convergence, flagged in meta")
 
     ap = argparse.ArgumentParser(
         prog="skewstab",
@@ -337,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_decay)
 
     p = sub.add_parser("sweep", parents=[common],
-                       help="invariant-measure distances against bound "
-                            "shapes over a perturbation family")
+                       help="closed-form invariant-measure distances "
+                            "against bound shapes over a prop-bahh family")
     p.add_argument("--config", required=True, help="family JSON")
     p.add_argument("--gamma", type=float, default=None,
                    help="override the family's Diophantine type")
@@ -380,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--nmax", type=int, default=200)
     p.add_argument("--eps-f", type=float, default=None)
+    p.add_argument("--allow-partial", action="store_true",
+                   help="exit 0 on non-convergence, flagged in meta")
     p.add_argument("--out", required=True, help="measure JSON path")
     p.set_defaults(fn=_cmd_invariant)
 

@@ -24,7 +24,6 @@ from .arithmetic import (
 )
 from .dynamics import (
     BaseMap,
-    PerturbationSpec,
     SineShift,
     SkewSystem,
     composite_family,
@@ -292,10 +291,13 @@ def load_measure(doc: dict) -> Disintegration:
                  "measure")
         if doc["builtin"] != "lebesgue":
             raise ValueError(f"unknown builtin measure {doc['builtin']!r}")
+        exact = doc.get("exact", False)
+        if not isinstance(exact, bool):
+            raise ValueError(f"measure: exact must be true or false, "
+                             f"got {exact!r}")
         return lebesgue_disintegration(
             _positive_int(doc, "n_cells", "measure"),
-            _positive_int(doc, "fiber_atoms", "measure"),
-            exact=bool(doc.get("exact", False)))
+            _positive_int(doc, "fiber_atoms", "measure"), exact=exact)
     _require(doc, {"n_cells", "dimension", "fibers"}, {"ids"}, "measure")
     n = _positive_int(doc, "n_cells", "measure")
     if _positive_int(doc, "dimension", "measure") != 1:
@@ -349,77 +351,37 @@ def save_measure(dis: Disintegration) -> dict:
 
 @dataclass(frozen=True)
 class SweepJob:
-    family: list[PerturbationSpec]
+    """(delta, closed-form distance) pairs and the family's declared
+    Diophantine types."""
+
+    pairs: list[tuple[float, Fraction]]
     gamma: float
     gamma_prime: float | None
-    pipeline: dict | None
-
-
-_PIPELINE_KEYS = {"n_cells", "fiber_atoms", "n_max", "tol", "eps_f"}
-
-
-def _load_pipeline(doc: dict) -> dict:
-    _require(doc, set(), _PIPELINE_KEYS, "pipeline")
-    out = dict(doc)
-    for k in ("n_cells", "fiber_atoms", "n_max"):
-        if k in out:
-            out[k] = _positive_int(out, k, "pipeline")
-    for k in ("tol", "eps_f"):
-        if k in out:
-            out[k] = float(_parse_scalar(out[k]))
-    return out
-
-
-def _list(doc: dict, key: str) -> list:
-    if not isinstance(doc[key], list):
-        raise ValueError(f"family: {key} must be a list, got {doc[key]!r}")
-    return doc[key]
-
-
-def _sweep_job(doc: dict, family: list) -> SweepJob:
-    return SweepJob(family, float(_parse_scalar(doc["gamma"])),
-                    float(_parse_scalar(doc["gamma_prime"]))
-                    if "gamma_prime" in doc else None,
-                    _load_pipeline(doc["pipeline"])
-                    if "pipeline" in doc else None)
 
 
 def load_family(doc: dict) -> SweepJob:
+    """A prop-bahh family: one row per j, at the example's closed-form
+    distance; no pipeline runs and no measure is built."""
     kind = _kind(doc, "family")
-    if kind == "prop-bahh":
-        # closed-form distances: no pipeline runs, no measure is built
-        _require(doc, {"kind", "theta", "js", "gamma"},
-                 {"gamma_prime", "deformation_scale"}, "family")
-        theta = parse_angle(doc["theta"])
-        kw = {}
-        if "deformation_scale" in doc:
-            kw["deformation_scale"] = float(
-                _parse_scalar(doc["deformation_scale"]))
-        js = [_positive_int({"j": j}, "j", "family js")
-              for j in _list(doc, "js")]
-        return _sweep_job(doc, [prop_bahh_system(theta, j, **kw).pspec
-                                for j in js])
-    if kind == "translation-ladder":
-        _require(doc, {"kind", "system", "deltas", "gamma"},
-                 {"gamma_prime", "pipeline"}, "family")
-        ref = load_system(doc["system"])
-        if ref.fiber.bump is not None:
-            raise ValueError("translation-ladder needs a translation fiber")
-        family = []
-        for raw in _list(doc, "deltas"):
-            delta = _parse_scalar(raw)
-            shifted = Fraction(delta) + Fraction(ref.fiber.theta) \
-                if isinstance(delta, (Fraction, int)) and \
-                isinstance(ref.fiber.theta, (Fraction, int)) \
-                else float(delta) + float(ref.fiber.theta)
-            pert = SkewSystem(
-                ref.base,
-                translation_family(shifted % 1,
-                                   indicator=ref.fiber.indicator,
-                                   A=ref.fiber.A))
-            family.append(PerturbationSpec(ref, pert, abs(float(delta))))
-        return _sweep_job(doc, family)
-    raise ValueError(f"unknown family kind {kind!r}")
+    if kind != "prop-bahh":
+        raise ValueError(f"unknown family kind {kind!r}")
+    _require(doc, {"kind", "theta", "js", "gamma"},
+             {"gamma_prime", "deformation_scale"}, "family")
+    theta = parse_angle(doc["theta"])
+    kw = {}
+    if "deformation_scale" in doc:
+        kw["deformation_scale"] = float(
+            _parse_scalar(doc["deformation_scale"]))
+    if not isinstance(doc["js"], list):
+        raise ValueError(f"family: js must be a list, got {doc['js']!r}")
+    js = [_positive_int({"j": j}, "j", "family js") for j in doc["js"]]
+    pairs = []
+    for j in js:
+        ex = prop_bahh_system(theta, j, **kw)
+        pairs.append((ex.pspec.delta, ex.closed_form_distance))
+    return SweepJob(pairs, float(_parse_scalar(doc["gamma"])),
+                    float(_parse_scalar(doc["gamma_prime"]))
+                    if "gamma_prime" in doc else None)
 
 
 # --------------------------------------------------------------------- io

@@ -38,7 +38,6 @@ __all__ = [
     "OrbitBump",
     "FiberMapFamily",
     "translation_family",
-    "identity_family",
     "deformation_family",
     "composite_family",
     "SkewSystem",
@@ -344,10 +343,6 @@ def translation_family(theta, indicator=DEFAULT_INDICATOR,
     return FiberMapFamily(theta=_angle_value(theta), indicator=iv, A=A)
 
 
-def identity_family(A: float = 0.5) -> FiberMapFamily:
-    return FiberMapFamily(theta=0, indicator=(), A=A)
-
-
 def deformation_family(delta, orbit_k: int, scale: float = 1.0,
                        A: float = 0.5) -> FiberMapFamily:
     bump = OrbitBump(orbit_k, abs(float(delta)) * scale)
@@ -400,8 +395,6 @@ class PerturbationSpec:
     reference: SkewSystem
     perturbed: SkewSystem
     delta: float
-    # known closed-form distance ||f_delta - f_0||_"1" (skips pipelines)
-    invariant_distance: object = None
 
 
 # ------------------------------------------------------------- transfer

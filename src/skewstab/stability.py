@@ -20,7 +20,6 @@ from .dynamics import (
     PerturbationSpec,
     SkewSystem,
     composite_family,
-    invariant_measure,
     linear_base,
     transfer_step,
     translation_family,
@@ -238,7 +237,6 @@ class SweepRow:
     distance: float
     lower_bound: float
     upper_bound_fit: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -249,71 +247,48 @@ class SweepTable:
 
     def upper_ok(self) -> list[bool]:
         return [r.distance <= r.upper_bound_fit * (1 + 1e-9) + 1e-15
-                for r in self.rows if r.converged]
+                for r in self.rows]
 
     def lower_ok(self) -> list[bool]:
-        return [r.distance >= r.lower_bound - 1e-15
-                for r in self.rows if r.converged]
+        return [r.distance >= r.lower_bound - 1e-15 for r in self.rows]
 
 
-def stability_sweep(family: list, gamma: float,
-                    gamma_prime: float | None = None,
-                    pipeline: dict | None = None) -> SweepTable:
-    """Distances ||f_delta - f_0||_"1" against the Holder upper-bound
-    shape K * delta^(1/(8 gamma + 1)) (K fitted on the smallest delta)
-    and, when gamma_prime is given, the counterexample lower bound
-    (1/9) * delta^(1/(gamma_prime - 1)).  A pipeline row counts as
-    converged only when both its own and the reference pipeline did."""
-    if not family:
+def stability_sweep(pairs: list, gamma: float,
+                    gamma_prime: float | None = None) -> SweepTable:
+    """Distances ||f_delta - f_0||_"1", given as (delta, distance) pairs,
+    against the Holder upper-bound shape K * delta^(1/(8 gamma + 1)) (K
+    fitted on the smallest delta) and, when gamma_prime is given, the
+    counterexample lower bound (1/9) * delta^(1/(gamma_prime - 1))."""
+    if not pairs:
         raise ValueError("empty family")
     if not (1 <= gamma < math.inf
             and (gamma_prime is None or 1 < gamma_prime < math.inf)):
         raise ValueError(f"need a finite gamma >= 1 (the linear type of an "
                          f"irrational angle) and a finite gamma_prime > 1, "
                          f"got {gamma} and {gamma_prime}")
-    ref = family[0].reference
-    if any(ps.reference != ref for ps in family):
-        raise ValueError("family must share one reference system")
-    deltas = [float(ps.delta) for ps in family]
+    points = sorted(((float(d), float(x)) for d, x in pairs), reverse=True)
+    deltas = [d for d, _ in points]
     if len(set(deltas)) != len(deltas):
         raise ValueError("delta values must be distinct")
     if not all(d > 0 for d in deltas):
         raise ValueError("delta values must be positive")
-    opts = pipeline or {}
-
-    r0 = None
-    entries = []
-    for ps in family:
-        if ps.invariant_distance is not None:
-            entries.append((float(ps.invariant_distance), True))
-            continue
-        res = invariant_measure(ps.perturbed, **opts)
-        if r0 is None:
-            r0 = invariant_measure(ref, **opts)
-        entries.append((float(l1_norm(res.measure - r0.measure)),
-                        res.converged and r0.converged))
 
     exponent = 1.0 / (8.0 * gamma + 1.0)
-    order = sorted(range(len(family)), key=deltas.__getitem__,
-                   reverse=True)
-    good = [i for i in order if entries[i][1]]
-    K = entries[good[-1]][0] / deltas[good[-1]] ** exponent if good else 0.0
-
-    rows = []
-    for i in order:
-        dist, ok = entries[i]
-        delta = deltas[i]
-        lower = (dist * 0.0 if gamma_prime is None
-                 else delta ** (1.0 / (gamma_prime - 1.0)) / 9.0)
-        rows.append(SweepRow(delta, dist, lower, K * delta ** exponent, ok))
+    K = points[-1][1] / points[-1][0] ** exponent
+    rows = tuple(
+        SweepRow(delta, dist,
+                 0.0 if gamma_prime is None
+                 else delta ** (1.0 / (gamma_prime - 1.0)) / 9.0,
+                 K * delta ** exponent)
+        for delta, dist in points)
 
     pts = [(math.log(r.delta), math.log(r.distance))
-           for r in rows if r.converged and r.distance > 0]
+           for r in rows if r.distance > 0]
     beta = None
     if len(pts) >= 2:
         beta = float(np.polyfit([p[0] for p in pts],
                                 [p[1] for p in pts], 1)[0])
-    return SweepTable(tuple(rows), beta, K)
+    return SweepTable(rows, beta, K)
 
 
 # --------------------------------------------------- periodic-orbit example
@@ -376,8 +351,7 @@ def prop_bahh_system(theta: AngleSpec, j: int,
     perturbed = SkewSystem(linear_base(2), fam_d)
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    pspec = PerturbationSpec(reference, perturbed, float(size),
-                             invariant_distance=Fraction(1, 4 * k))
+    pspec = PerturbationSpec(reference, perturbed, float(size))
     return PropBahhSystem(pspec, j, k, pert.delta, Fraction(1, 4 * k),
                           deformation_scale, n_cells)
 

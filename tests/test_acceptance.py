@@ -26,6 +26,7 @@ from skewstab.batteries import (
 )
 from skewstab.cli import main
 from skewstab.dynamics import (
+    FiberMapFamily,
     SineShift,
     SkewSystem,
     deformation_family,
@@ -255,10 +256,8 @@ def test_criterion_09_equilibrium_decay(capsys):
     monotone = bool(np.all(np.diff(arr[5:]) <= 1e-12))
     slope_ok = series.slope is not None and series.slope < 0
 
-    from skewstab.dynamics import identity_family
-
     control = equilibrium_decay(
-        SkewSystem(linear_base(2), identity_family()),
+        SkewSystem(linear_base(2), FiberMapFamily()),
         product_disintegration(
             64, FiberMeasure([(0.0,), (0.5,)], [1.0, -1.0])), 20)
     const_dev = max(abs(v - control.norms[0]) for v in control.norms)

@@ -306,6 +306,9 @@ def test_sweep_artifacts(tmp_path):
     assert lines[0] == "delta,distance,lower_bound,upper_bound_fit"
     assert len(lines) == 3  # one row per family member
     meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+    # closed-form rows: nothing is unconverged, nothing is partial
+    assert set(meta["results"]) == {"K", "beta", "lower_ok", "upper_ok"}
+    assert meta["partial"] is False
     assert meta["results"]["lower_ok"] == [True, True]
     assert meta["results"]["upper_ok"] == [False, True]
 
@@ -334,17 +337,30 @@ def test_sweep_rejects_malformed_family(tmp_path, capsys, doc, message):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("deltas", [[0, 0.01], ["0", "1/64"]],
-                         ids=["float", "fraction"])
-def test_sweep_rejects_zero_delta(tmp_path, capsys, deltas):
-    doc = json.loads((ROOT / "configs" / "ladder_family.json").read_text())
-    p = tmp_path / "ladder.json"
-    p.write_text(json.dumps(dict(doc, deltas=deltas)))
+def test_sweep_rejects_zero_delta(tmp_path, capsys):
+    # 0.5 is its own first convergent: delta_1 = 0, no perturbation
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(dict(BAHH_FAMILY, theta="0.5")))
     assert main(["sweep", "--config", str(p), "--out-dir", str(tmp_path),
                  "--out", "sweep.csv"]) == 2
     captured = capsys.readouterr()
-    assert "error:" in captured.err and "positive" in captured.err
+    assert "error:" in captured.err and "delta_j = 0" in captured.err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--config", str(ROOT / "configs" / "bahh_family.json"),
+     "--out", "sweep.csv"],
+    ["example", "prop-30", "--j", "1"],
+], ids=["sweep", "example"])
+def test_allow_partial_is_invariant_only(tmp_path, capsys, args):
+    # only invariant can stop unconverged; elsewhere the flag is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--allow-partial", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-partial" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_invariant_exit_codes(tmp_path):
@@ -405,33 +421,6 @@ def test_bad_counts_exit_2(tmp_path, args):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert not (tmp_path / "out").exists()
-
-
-def test_sweep_unconverged_reference_is_partial(tmp_path, capsys):
-    p = tmp_path / "ladder.json"
-    p.write_text(json.dumps({
-        "kind": "translation-ladder",
-        "system": {
-            "base": {"kind": "linear_precomposed", "l": 2,
-                     "sigma": {"kind": "sine", "amplitude": 0.01}},
-            "fiber": {"kind": "translation", "theta": "golden",
-                      "indicator": [["0.5", "1"]]}},
-        "deltas": ["1/256", "1/512", "1/1024"],
-        "gamma": 1.0,
-        "pipeline": {"n_cells": 16, "fiber_atoms": 32, "n_max": 3,
-                     "tol": 1e-12}}))
-    args = ["sweep", "--config", str(p), "--out-dir", str(tmp_path),
-            "--out", "sweep.csv"]
-    for extra, code in (([], 3), (["--allow-partial"], 0)):
-        assert main(args + extra) == code
-        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-        assert meta["partial"] is True
-        assert meta["results"]["unconverged_deltas"] == \
-            [1 / 256, 1 / 512, 1 / 1024]
-        assert meta["results"]["upper_ok"] == []
-        lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 4
-    assert "3 rows did not converge" in capsys.readouterr().err
 
 
 BUMP_DOC = {
@@ -554,4 +543,4 @@ def test_checked_in_config_loads(path, capsys):
     elif "builtin" in doc:
         assert load_measure(doc).n_cells == doc["n_cells"]
     else:
-        assert load_family(doc).family
+        assert load_family(doc).pairs

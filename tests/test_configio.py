@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewstab import configio
+from skewstab.arithmetic import lacunary_theta
 from skewstab.configio import (
     _format_scalar,
     _parse_scalar,
@@ -29,6 +30,7 @@ from skewstab.measures import (
     l1_norm,
     lebesgue_disintegration,
 )
+from skewstab.stability import prop_bahh_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -143,6 +145,11 @@ def test_measure_builtin_and_errors():
     doc = {"builtin": "lebesgue", "n_cells": 4, "fiber_atoms": 8,
            "exact": True}
     assert load_measure(doc).exact
+    assert not load_measure(dict(doc, exact=False)).exact
+    # only a JSON boolean selects the backend: "false" and 1 are truthy
+    for bad in ("false", 1, None):
+        with pytest.raises(ValueError, match="exact must be true or false"):
+            load_measure(dict(doc, exact=bad))
     with pytest.raises(ValueError, match="unknown builtin"):
         load_measure(dict(doc, builtin="gauss"))
     with pytest.raises(ValueError, match="fibers"):
@@ -154,24 +161,12 @@ def test_measure_builtin_and_errors():
 
 # ---------------------------------------------------------------- families
 
-def test_family_ladder():
-    doc = {"kind": "translation-ladder", "system": DOUBLING_DOC,
-           "deltas": ["1/256", "1/1024"], "gamma": 1.0,
-           "pipeline": {"n_cells": 32, "fiber_atoms": 128, "n_max": 10}}
-    job = load_family(doc)
-    assert [ps.delta for ps in job.family] == [1 / 256, 1 / 1024]
-    ref = job.family[0].reference
-    pert = job.family[0].perturbed
-    assert pert.fiber.theta - ref.fiber.theta == Fraction(1, 256)
-    assert job.pipeline == {"n_cells": 32, "fiber_atoms": 128, "n_max": 10}
-
-
 def test_family_prop_bahh():
     doc = {"kind": "prop-bahh", "theta": "liouville_j:3", "js": [1],
            "gamma": 3.0, "gamma_prime": 2.5}
     job = load_family(doc)
-    assert len(job.family) == 1
-    assert job.family[0].invariant_distance == Fraction(1, 64)
+    ex = prop_bahh_system(lacunary_theta(3), 1)
+    assert job.pairs == [(ex.pspec.delta, Fraction(1, 64))]
     assert job.gamma_prime == 2.5
     # its distances are closed forms: no pipeline, no measure on n_cells
     for extra in ({"n_cells": 16}, {"pipeline": {"n_max": 3}}):
@@ -180,18 +175,13 @@ def test_family_prop_bahh():
 
 
 def test_family_errors():
-    with pytest.raises(ValueError, match="unknown family kind"):
-        load_family({"kind": "mystery"})
-    doc = {"kind": "translation-ladder", "system": DOUBLING_DOC,
-           "deltas": ["1/256"], "gamma": 1.0, "junk": 1}
+    for kind in ("mystery", "translation-ladder"):
+        with pytest.raises(ValueError, match="unknown family kind"):
+            load_family({"kind": kind})
+    doc = {"kind": "prop-bahh", "theta": "liouville_j:3", "js": [1],
+           "gamma": 3.0, "junk": 1}
     with pytest.raises(ValueError, match="unknown keys"):
         load_family(doc)
-    deform = {"base": {"kind": "linear", "l": 2},
-              "fiber": {"kind": "deformation", "delta": "0.001",
-                        "orbit_k": 4}}
-    with pytest.raises(ValueError, match="translation fiber"):
-        load_family({"kind": "translation-ladder", "system": deform,
-                     "deltas": ["1/256"], "gamma": 1.0})
 
 
 def test_write_json_refuses_non_finite_numbers(tmp_path):

@@ -20,13 +20,13 @@ from skewstab.arithmetic import (
 from skewstab.batteries import positive_disintegrations, signed_disintegrations
 from skewstab.dynamics import (
     BaseMap,
+    FiberMapFamily,
     OrbitBump,
     PerturbationSpec,
     SineShift,
     SkewSystem,
     composite_family,
     deformation_family,
-    identity_family,
     invariant_measure,
     linear_base,
     ly_check,
@@ -84,7 +84,7 @@ def test_point_mass_pushforward():
 
 
 def test_identity_fiber_leaves_products_invariant():
-    sys0 = SkewSystem(linear_base(2), identity_family())
+    sys0 = SkewSystem(linear_base(2), FiberMapFamily())
     fib = FiberMeasure([(0.2,), (0.7,)], [0.25, 0.75])
     dis = product_disintegration(8, fib)
     out = transfer_step(sys0, dis, eps_f=0)
@@ -256,7 +256,7 @@ def test_h_hat_values():
     # one interior indicator endpoint at 1/2, jump size 1/4, window 2r
     assert fam.h_hat(1.0) == pytest.approx(0.5)
     assert fam.h_hat(0.5) == pytest.approx(2 * 0.25 * 0.5 ** 0.5)
-    assert identity_family().h_hat(1.0) == 0.0
+    assert FiberMapFamily().h_hat(1.0) == 0.0
     assert deformation_family(0.001, 4).h_hat(1.0) == 0.0
 
 

@@ -25,11 +25,11 @@ from skewstab.batteries import (
 )
 from skewstab.arithmetic import golden_angle
 from skewstab.dynamics import (
+    FiberMapFamily,
     OrbitBump,
     SineShift,
     SkewSystem,
     composite_family,
-    identity_family,
     linear_base,
     precomposed_base,
     transfer_step,
@@ -711,7 +711,7 @@ def test_combine_adds_left_to_right_like_the_pairwise_chain():
     # an x-independent fiber map on a precomposed base: three pieces of
     # one cell can carry coincident atoms
     system = SkewSystem(precomposed_base(2, SineShift(0.01)),
-                        identity_family())
+                        FiberMapFamily())
     for dis in [lebesgue_disintegration(16, 8)] + \
             positive_disintegrations(11, 2, 16):
         _assert_packed(transfer_step(system, dis, eps_f=2.0 ** -10),

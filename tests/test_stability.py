@@ -12,9 +12,8 @@ from skewstab import stability
 from skewstab.arithmetic import golden_angle, lacunary_theta
 from skewstab.cli import main
 from skewstab.dynamics import (
-    PerturbationSpec,
+    FiberMapFamily,
     SkewSystem,
-    identity_family,
     linear_base,
     transfer_step,
     translation_family,
@@ -177,7 +176,7 @@ def test_equilibrium_decay_golden():
 
 
 def test_equilibrium_decay_identity_control():
-    sys0 = SkewSystem(linear_base(2), identity_family())
+    sys0 = SkewSystem(linear_base(2), FiberMapFamily())
     ser = equilibrium_decay(sys0, dipole_observable(64), 20)
     assert all(abs(v - 0.5) <= 1e-12 for v in ser.norms)
 
@@ -197,41 +196,28 @@ def test_equilibrium_decay_rejects_mass():
 
 # ----------------------------------------------------------------- sweeps
 
-def test_sweep_trivial_family():
-    ref = doubling_system()
-    family = [PerturbationSpec(ref, ref, d) for d in (1e-2, 1e-3)]
-    tab = stability_sweep(family, gamma=1.0,
-                          pipeline=dict(n_cells=32, fiber_atoms=128,
-                                        n_max=60))
-    assert [r.distance for r in tab.rows] == [0.0, 0.0]
-    assert all(tab.upper_ok())
-    assert tab.K == 0.0
-    assert [r.delta for r in tab.rows] == sorted(
-        (r.delta for r in tab.rows), reverse=True)
-
-
 def test_sweep_validations():
-    ref = doubling_system()
     with pytest.raises(ValueError, match="empty"):
         stability_sweep([], 1.0)
     with pytest.raises(ValueError, match="distinct"):
-        stability_sweep([PerturbationSpec(ref, ref, 1e-2),
-                         PerturbationSpec(ref, ref, 1e-2)], 1.0)
-    other = SkewSystem(linear_base(3), translation_family(GOLDEN))
-    with pytest.raises(ValueError, match="reference"):
-        stability_sweep([PerturbationSpec(ref, ref, 1e-2),
-                         PerturbationSpec(other, other, 1e-3)], 1.0)
+        stability_sweep([(1e-2, 0.1), (1e-2, 0.2)], 1.0)
+    for delta in (0.0, -1e-2):
+        with pytest.raises(ValueError, match="positive"):
+            stability_sweep([(1e-2, 0.1), (delta, 0.0)], 1.0)
 
 
 def test_sweep_bahh_rows(bahh_pair):
-    fam = [bahh_pair[j].pspec for j in (1, 2)]
-    tab = stability_sweep(fam, gamma=3.0, gamma_prime=2.5)
+    # the pairs given in increasing delta come back in decreasing delta
+    pairs = [(bahh_pair[j].pspec.delta, bahh_pair[j].closed_form_distance)
+             for j in (2, 1)]
+    tab = stability_sweep(pairs, gamma=3.0, gamma_prime=2.5)
     assert all(tab.lower_ok())
     # the rigidity counterexample: the Holder upper-bound shape fitted on
     # the smallest delta fails at the larger delta
     assert tab.upper_ok() == [False, True]
     assert tab.beta == pytest.approx(0.25, abs=1e-6)
     assert tab.rows[0].delta > tab.rows[1].delta
+    assert tab.rows[0].distance == 1 / 64
 
 
 # ------------------------------------------------------------- prop bahh
