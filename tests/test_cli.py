@@ -337,14 +337,20 @@ def test_sweep_rejects_malformed_family(tmp_path, capsys, doc, message):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_rejects_zero_delta(tmp_path, capsys):
-    # 0.5 is its own first convergent: delta_1 = 0, no perturbation
+@pytest.mark.parametrize("theta, reason", [
+    ("0.5", "delta_j = 0"),
+    ("1/2", "perturbations need an irrational angle"),
+], ids=["float", "fraction"])
+def test_sweep_rejects_zero_delta(tmp_path, capsys, theta, reason):
+    # 1/2 is its own first convergent: delta_1 = 0, no perturbation. As a
+    # decimal the family reaches delta_1 = 0; as a fraction the angle is
+    # refused as rational before any delta is built
     p = tmp_path / "family.json"
-    p.write_text(json.dumps(dict(BAHH_FAMILY, theta="0.5")))
+    p.write_text(json.dumps(dict(BAHH_FAMILY, theta=theta)))
     assert main(["sweep", "--config", str(p), "--out-dir", str(tmp_path),
                  "--out", "sweep.csv"]) == 2
     captured = capsys.readouterr()
-    assert "error:" in captured.err and "delta_j = 0" in captured.err
+    assert "error:" in captured.err and reason in captured.err
     assert not (tmp_path / "sweep.csv").exists()
 
 
