@@ -99,7 +99,8 @@ def _write_csv(out: Path, header: list[str], rows: list[tuple]) -> None:
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+            fh.write(",".join("" if v is None
+                              else repr(v) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
 
 

@@ -382,14 +382,20 @@ def _sum_bounds(w: np.ndarray) -> tuple[np.ndarray, ...]:
     outward and is rounded to double; rounding is monotone, so the
     rounded exact sum lies between the rounded ends.
     """
-    u = _LD_UNIT
-    k = w.shape[1] - 1
     sums = np.stack((w.sum(axis=1, dtype=np.longdouble),
                      np.abs(w).sum(axis=1, dtype=np.longdouble)))
-    err = (k * u) / (1 - 2 * k * u) * (1 + 8 * u) * sums[1] + 2 * _LD_TINY
-    lo = np.nextafter(sums - err, -np.inf).astype(float)
-    hi = np.nextafter(sums + err, np.inf).astype(float)
+    lo, hi = _sum_interval(sums, sums[1], w.shape[1] - 1)
     return lo[0], hi[0], lo[1], hi[1]
+
+
+def _sum_interval(sums: np.ndarray, abs_sums: np.ndarray, k: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) of _sum_bounds for long-double row sums of k + 1
+    terms, given the long-double sums of the rows' |terms|."""
+    u = _LD_UNIT
+    err = (k * u) / (1 - 2 * k * u) * (1 + 8 * u) * abs_sums + 2 * _LD_TINY
+    return (np.nextafter(sums - err, -np.inf).astype(float),
+            np.nextafter(sums + err, np.inf).astype(float))
 
 
 def _fsum_rows(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -690,10 +696,10 @@ def _pair_w1(table: Sequence[FiberMeasure], pairs: np.ndarray) -> np.ndarray:
 
     Two float fibers on equal positions differ by w_u - w_v elementwise,
     less the weights below 1e-15 (the equal-grid branch of _combine).
-    Those differences are formed a block of about _BLOCK_ATOMS weights at
-    a time, and a single-signed one has the norm |sum|, read off
-    _fsum_rows.  Mixed-sign differences, pairs on different positions and
-    exact fibers go through w1_norm.
+    Those differences are gathered from the grid's stacked weight table a
+    block of about _BLOCK_ATOMS weights at a time, and a single-signed
+    one has the norm |sum|, read off _fsum_rows.  Mixed-sign differences,
+    pairs on different positions and exact fibers go through w1_norm.
     """
     out = np.empty(len(pairs))
     grid = [None if f.exact else f.positions.tobytes() for f in table]
@@ -706,16 +712,24 @@ def _pair_w1(table: Sequence[FiberMeasure], pairs: np.ndarray) -> np.ndarray:
             rest.append(i)
     for idx in same.values():
         idx = np.array(idx)
-        step = max(1, _BLOCK_ATOMS // len(table[pairs[idx[0], 0]]))
+        # the grid's weights, stacked once; pair idx[i] is the difference
+        # of rows rows[i, 0] and rows[i, 1] of w
+        fibers, rows = np.unique(pairs[idx], return_inverse=True)
+        w = np.stack([table[j].weights for j in fibers.tolist()])
+        rows = rows.reshape(-1, 2)
+        step = max(1, _BLOCK_ATOMS // w.shape[1])
         for b in range(0, len(idx), step):
             blk = idx[b:b + step]
-            d = np.stack([table[j].weights for j in pairs[blk, 0].tolist()])
-            d -= np.stack([table[j].weights for j in pairs[blk, 1].tolist()])
+            d = w[rows[b:b + step, 0]] - w[rows[b:b + step, 1]]
             d[np.abs(d) < _DROP_TOL] = 0.0
             mixed = (d > 0).any(axis=1) & (d < 0).any(axis=1)
             rest += blk[mixed].tolist()
             d = d[~mixed]
-            out[blk[~mixed]] = np.abs(_fsum_rows(d, *_sum_bounds(d)[:2]))
+            # a single-signed row has sum |d| = |sum d|, bit for bit when
+            # both are summed in one order, so one long-double pass serves
+            s = d.sum(axis=1, dtype=np.longdouble)
+            lo, hi = _sum_interval(s, np.abs(s), d.shape[1] - 1)
+            out[blk[~mixed]] = np.abs(_fsum_rows(d, lo, hi))
     for i in rest:
         u, v = pairs[i].tolist()
         out[i] = float(w1_norm(table[u] - table[v]))

@@ -235,22 +235,30 @@ def equilibrium_decay(sys: SkewSystem, g: Disintegration, n_max: int,
 class SweepRow:
     delta: float
     distance: float
-    lower_bound: float
+    lower_bound: float | None
     upper_bound_fit: float
 
 
 @dataclass(frozen=True)
 class SweepTable:
+    """Rows in decreasing delta; the last one, the smallest delta, is
+    the anchor that K is fitted on."""
+
     rows: tuple
     beta: float | None
     K: float
 
-    def upper_ok(self) -> list[bool]:
+    def upper_ok(self) -> list[bool | None]:
+        """Per row, whether the distance is within the fitted upper
+        shape; None on the anchor row, which meets it by construction."""
         return [r.distance <= r.upper_bound_fit * (1 + 1e-9) + 1e-15
-                for r in self.rows]
+                for r in self.rows[:-1]] + [None]
 
-    def lower_ok(self) -> list[bool]:
-        return [r.distance >= r.lower_bound - 1e-15 for r in self.rows]
+    def lower_ok(self) -> list[bool | None]:
+        """Per row, whether the distance is at least the lower bound;
+        None where no lower bound was evaluated (no gamma_prime)."""
+        return [None if r.lower_bound is None
+                else r.distance >= r.lower_bound - 1e-15 for r in self.rows]
 
 
 def stability_sweep(pairs: list, gamma: float,
@@ -258,7 +266,8 @@ def stability_sweep(pairs: list, gamma: float,
     """Distances ||f_delta - f_0||_"1", given as (delta, distance) pairs,
     against the Holder upper-bound shape K * delta^(1/(8 gamma + 1)) (K
     fitted on the smallest delta) and, when gamma_prime is given, the
-    counterexample lower bound (1/9) * delta^(1/(gamma_prime - 1))."""
+    counterexample lower bound (1/9) * delta^(1/(gamma_prime - 1)) (None
+    otherwise)."""
     if not pairs:
         raise ValueError("empty family")
     if not (1 <= gamma < math.inf
@@ -277,7 +286,7 @@ def stability_sweep(pairs: list, gamma: float,
     K = points[-1][1] / points[-1][0] ** exponent
     rows = tuple(
         SweepRow(delta, dist,
-                 0.0 if gamma_prime is None
+                 None if gamma_prime is None
                  else delta ** (1.0 / (gamma_prime - 1.0)) / 9.0,
                  K * delta ** exponent)
         for delta, dist in points)

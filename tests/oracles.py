@@ -8,8 +8,9 @@ the library shortcuts they check.
 
 The last group keeps the plain forms of kernels that have fast paths,
 for bit-for-bit comparisons: canonical form by a full stable sort, the
-cubic bump by searchsorted, and the balance test through the 2-D row-sum
-kernel.
+cubic bump by searchsorted, the balance test through the 2-D row-sum
+kernel, and the invariant-measure loop with the exact residual at every
+step.
 """
 
 from __future__ import annotations
@@ -281,3 +282,28 @@ def flat_balanced_by_sort(fm: FiberMeasure) -> float:
     cum = np.cumsum(gaps[order])
     c = prefix[order[np.argmax(2 * cum >= cum[-1])]]
     return float(np.dot(gaps, np.abs(prefix - c)))
+
+
+def invariant_by_plain_loop(sys, tol: float = 1e-6, n_max: int = 200,
+                            eps_f=None, n_cells: int = 1024,
+                            fiber_atoms: int = 256, on_step=None):
+    """invariant_measure with the exact residual l1_norm(L mu - mu) at
+    every step and no screen; on_step(L mu, residual) sees each step."""
+    sys.require_domination()
+    mu = measures.lebesgue_disintegration(n_cells, fiber_atoms)
+    residual = math.inf
+    steps = 0
+    while steps < n_max:
+        nxt = dynamics.transfer_step(sys, mu, eps_f=eps_f)
+        residual = float(measures.l1_norm(nxt - mu))
+        if on_step is not None:
+            on_step(nxt, residual)
+        steps += 1
+        if residual < tol or steps == n_max:
+            break
+        mu = nxt
+    drift = float(mu.mass()) - 1.0
+    if abs(drift) > 1e-9:
+        mu = mu.scale(1.0 / (1.0 + drift))
+    return dynamics.InvariantResult(mu, residual < tol, steps, residual,
+                                    drift)

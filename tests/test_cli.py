@@ -310,7 +310,27 @@ def test_sweep_artifacts(tmp_path):
     assert set(meta["results"]) == {"K", "beta", "lower_ok", "upper_ok"}
     assert meta["partial"] is False
     assert meta["results"]["lower_ok"] == [True, True]
-    assert meta["results"]["upper_ok"] == [False, True]
+    # the smallest-delta row anchors the fit of K, so it checks nothing
+    assert meta["results"]["upper_ok"] == [False, None]
+
+
+def test_sweep_without_gamma_prime_reports_no_lower_bound(tmp_path):
+    doc = json.loads((ROOT / "configs" / "bahh_family.json").read_text())
+    del doc["gamma_prime"]
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(p), "--out-dir", str(tmp_path),
+                 "--out", "sweep.csv"]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    # an empty lower_bound cell, not a 0.0 that every distance passes
+    assert [row[2] for row in rows] == ["", ""]
+    assert all(float(row[3]) > 0 for row in rows)
+    meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+    assert meta["config"]["gamma_prime"] is None
+    assert meta["results"]["lower_ok"] == [None, None]
+    assert meta["results"]["upper_ok"] == [False, None]
 
 
 @pytest.mark.parametrize("doc, message", [

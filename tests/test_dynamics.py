@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import hermite_by_search
+from oracles import hermite_by_search, invariant_by_plain_loop
 
+from skewstab import dynamics
 from skewstab.arithmetic import (
     approximant_perturbation,
     golden_angle,
@@ -35,7 +36,8 @@ from skewstab.dynamics import (
     transfer_step,
     translation_family,
 )
-from skewstab.dynamics import _hermite_eval, _pieces
+from skewstab.dynamics import (_OrbitScreen, _hermite_eval, _pieces,
+                               _screen_bump)
 from skewstab.measures import (
     FiberMeasure,
     l1_norm,
@@ -399,6 +401,98 @@ def test_invariant_measure_without_steps_is_lebesgue():
     assert not res.converged and res.n_steps == 0
     assert res.residual == math.inf
     assert float(l1_norm(res.measure - lebesgue_disintegration(32, 64))) == 0
+
+
+# ------------------------------------------- residual screen vs plain loop
+
+def _screen_cases() -> dict:
+    # (system, invariant_measure keywords); all but the golden one have a
+    # bump whose orbit the rotation maps to itself
+    ex = prop_bahh_system(lacunary_theta(3), 1, n_cells=16)
+    partial = composite_family(Fraction(3, 8), 1 / 256, 8,
+                               indicator=((Fraction(1, 4), Fraction(5, 8)),))
+    return {
+        "prop-bahh-j1": (ex.pspec.perturbed,
+                         {"eps_f": 2.0 ** -40, "n_cells": 16,
+                          "fiber_atoms": 64}),
+        "partial-indicator": (SkewSystem(linear_base(2), partial),
+                              {"eps_f": 2.0 ** -30, "n_cells": 16,
+                               "fiber_atoms": 32}),
+        "precomposed": (SkewSystem(precomposed_base(2, SineShift(0.05)),
+                                   composite_family(Fraction(1, 4),
+                                                    1 / 256, 4)),
+                        {"eps_f": 2.0 ** -12, "n_cells": 16,
+                         "fiber_atoms": 32}),
+        "golden": (bump_system(), {"n_cells": 16, "fiber_atoms": 32}),
+    }
+
+
+SCREEN_CASES = list(_screen_cases())
+SCREEN_STEPS = 40
+
+
+def _assert_same_result(got, want):
+    assert (got.converged, got.n_steps) == (want.converged, want.n_steps)
+    assert np.float64(got.residual).tobytes() == \
+        np.float64(want.residual).tobytes()
+    assert np.float64(got.mass_drift).tobytes() == \
+        np.float64(want.mass_drift).tobytes()
+    assert _measure_digest()(got.measure) == _measure_digest()(want.measure)
+
+
+def test_screen_applies_to_orbit_preserving_rotations_only():
+    cases = _screen_cases()
+    for name, (system, _) in cases.items():
+        assert (_screen_bump(system) is None) is (name == "golden")
+    # an unperturbed rotation or a zero-strength bump has nothing to screen
+    assert _screen_bump(doubling_system()) is None
+    assert _screen_bump(SkewSystem(linear_base(2), composite_family(
+        Fraction(1, 4), 0.0, 4))) is None
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES)
+def test_screened_loop_matches_plain_loop(monkeypatch, case):
+    system, kw = _screen_cases()[case]
+    residuals = []
+    invariant_by_plain_loop(system, tol=0, n_max=SCREEN_STEPS,
+                            on_step=lambda nxt, r: residuals.append(r), **kw)
+    # stops exactly at a step (nextafter) or just after it (r_k itself),
+    # never reached (0), and the degenerate step counts
+    runs = [(0.0, n) for n in (0, 1, 2, SCREEN_STEPS)]
+    for k in (3, SCREEN_STEPS // 2, SCREEN_STEPS - 2):
+        r = residuals[k]
+        runs += [(r, SCREEN_STEPS), (float(np.nextafter(r, np.inf)),
+                                     SCREEN_STEPS)]
+    # the oracle calls measures.l1_norm, invariant_measure its own binding
+    calls = []
+    monkeypatch.setattr(dynamics, "l1_norm",
+                        lambda dis: calls.append(1) or l1_norm(dis))
+    steps = 0
+    for tol, n_max in runs:
+        got = invariant_measure(system, tol=tol, n_max=n_max, **kw)
+        want = invariant_by_plain_loop(system, tol=tol, n_max=n_max, **kw)
+        _assert_same_result(got, want)
+        steps += got.n_steps
+    # the screen skips exact residuals on screened systems only
+    if case == "golden":
+        assert len(calls) == steps
+    else:
+        assert len(calls) < steps
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES)
+def test_screen_floor_is_below_every_residual(case):
+    # every run above takes a prefix of these steps; the bound holds for
+    # any bump, so the unscreened golden system is checked too
+    system, kw = _screen_cases()[case]
+    screen = _OrbitScreen(system.fiber.bump, lebesgue_disintegration(
+        kw["n_cells"], kw["fiber_atoms"]))
+    pairs = []
+    invariant_by_plain_loop(
+        system, tol=0, n_max=SCREEN_STEPS,
+        on_step=lambda nxt, r: pairs.append((screen.floor(nxt), r)), **kw)
+    assert len(pairs) == SCREEN_STEPS
+    assert all(floor <= r for floor, r in pairs)
 
 
 # ------------------------------------------------------------ perturbations
