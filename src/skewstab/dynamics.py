@@ -123,16 +123,6 @@ class BaseMap:
                 f"grid/branch mismatch: n_cells = {n_cells} is not a power "
                 f"of the branch count {self.branch_count}")
 
-    def transfer_density(self, values: np.ndarray) -> np.ndarray:
-        """One step of the induced 1D transfer on piecewise-constant
-        densities."""
-        values = np.asarray(values, dtype=float)
-        n = len(values)
-        self.check_grid(n)
-        t = _pieces(self, n)
-        weights = values[t.src] * np.array(t.fracs, dtype=float)[t.code]
-        return np.bincount(t.out, weights=weights, minlength=n)
-
 
 class _Pieces(NamedTuple):
     """The base map's action on the N-cell grid, one row per piece: the
@@ -330,16 +320,12 @@ class FiberMapFamily:
         return 2 * jumps * self.alpha * self.rotation_distance() \
             * self.A ** (1.0 - p)
 
-    def push(self, fm: FiberMeasure, member) -> FiberMeasure:
-        """Pushforward of a fiber by G(x, .) for x inside (member true) or
-        outside the indicator set: the rotation by theta on the indicator
-        set, then the deformation."""
-        return self.push_many([(fm, member)])[0]
-
     def push_many(self, items) -> list[FiberMeasure]:
-        """push(fm, member) for each (fm, member) pair.  The deformation
-        acts atom by atom, so it is evaluated once, on the distinct
-        position arrays of the rotated fibers together."""
+        """Pushforward of each fiber fm of the (fm, member) pairs by
+        G(x, .) for x inside (member true) or outside the indicator set:
+        the rotation by theta on the indicator set, then the deformation.
+        The deformation acts atom by atom, so it is evaluated once, on the
+        distinct position arrays of the rotated fibers together."""
         out = [fm.translate(self.theta) if member and self.theta != 0 else fm
                for fm, member in items]
         bump = self.bump

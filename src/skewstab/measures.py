@@ -13,13 +13,15 @@ are built exact; their float form is the exact one rounded once.
 
 The W1 norm here is the dual Lipschitz norm with the extra sup bound
 (|g| <= 1, Lip(g) <= 1), the flat norm of the circle, in one closed form
-on the numerator arrays (delete the excess mass, transport the rest).
+on the numerator arrays (delete the excess mass, transport the rest).  A
+float fiber counts as balanced when |mass| <= 1e-12 |weights|_1, both
+sides being math.fsum values.
 
 var_p reads the largest fiber distance in each window off one
 interval-max table over the runs of equal ids.  Pair differences on a
-shared grid are formed in blocks.  Their sums, like the balance test of
-W1, come from one long-double row-sum kernel with a certified error
-bound that returns math.fsum's bits.
+shared grid are formed in blocks, and the single-signed ones are summed
+by one long-double row-sum kernel with a certified error bound that
+returns math.fsum's bits.
 """
 
 from __future__ import annotations
@@ -243,16 +245,13 @@ class FiberMeasure:
         a = self.to_float()
         return _fiber(a.positions + float(shift), a.weights)
 
-    def apply_map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "FiberMeasure":
-        """Pushforward by a vectorized float map on positions."""
-        return _apply_map_many([self], fn)[0]
-
 
 def _apply_map_many(fibers: Sequence[FiberMeasure],
                     fn: Callable[[np.ndarray], np.ndarray]
                     ) -> list[FiberMeasure]:
-    """[fm.apply_map(fn) for fm in fibers] for a map fn that acts atom by
-    atom: one call of fn on the distinct position arrays, concatenated."""
+    """Pushforward of each fiber by a vectorized float map fn that acts
+    atom by atom: one call of fn on the distinct position arrays,
+    concatenated."""
     floats = [fm.to_float() for fm in fibers]
     keys = [f.positions.tobytes() for f in floats]
     distinct = {}
@@ -332,27 +331,6 @@ def _lower_median(values: np.ndarray, weights: np.ndarray):
     return values[order[np.argmax(2 * cum >= cum[-1])]]
 
 
-def _median_is_zero(fm: FiberMeasure, prefix: np.ndarray,
-                    gaps: np.ndarray) -> bool:
-    """Whether _lower_median(prefix, gaps) of a float fiber is a zero,
-    decided without its sort when the gap sums are exact.
-
-    With every position a multiple of 2^-52 (as after coarsening to any
-    eps = 2^-k, k <= 52), every partial sum of the gaps, which total 1, is
-    a multiple of 2^-52 in [0, 1], exact in any order.  The running sums in sorted order then
-    reach half the total among the zeros exactly when
-    2 sum(gaps[prefix < 0]) < sum(gaps) <= 2 sum(gaps[prefix <= 0]).
-    Zero is the usual median for the difference of two nearby measures,
-    such as a residual L mu - mu."""
-    if fm.exact:
-        return False
-    grid = fm.positions * 2.0 ** 52
-    if not (np.floor(grid) == grid).all():
-        return False
-    total = gaps.sum()
-    return 2 * gaps[prefix < 0].sum() < total <= 2 * gaps[prefix <= 0].sum()
-
-
 def _isotonic_l1(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted-L1 nondecreasing fit of y by pool adjacent violators, each
     pool at the lower weighted median of its values (so at a value of y)."""
@@ -368,30 +346,21 @@ def _isotonic_l1(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.repeat(np.array(vals, dtype=y.dtype), np.diff(starts + [len(y)]))
 
 
-def _sum_bounds(w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Doubles (lo, hi, abs_lo, abs_hi) per row of the 2-D float64 array w:
-    math.fsum of the row lies in [lo, hi] and math.fsum of |row| in
-    [abs_lo, abs_hi].
-
-    The rows are summed in np.longdouble, an IEEE format with unit
-    u = _LD_UNIT.  In any order, a sum of n terms is off by at most
-    gamma_k sum|w| (k = n - 1, gamma_k = k u / (1 - k u)), and with a the
-    computed sum of |w| that is at most k u a / (1 - 2 k u).  The factor
-    1 + 8u covers the four roundings in evaluating it, and two smallest
-    subnormals cover its underflow.  Each end moves one long-double step
-    outward and is rounded to double; rounding is monotone, so the
-    rounded exact sum lies between the rounded ends.
-    """
-    sums = np.stack((w.sum(axis=1, dtype=np.longdouble),
-                     np.abs(w).sum(axis=1, dtype=np.longdouble)))
-    lo, hi = _sum_interval(sums, sums[1], w.shape[1] - 1)
-    return lo[0], hi[0], lo[1], hi[1]
-
-
 def _sum_interval(sums: np.ndarray, abs_sums: np.ndarray, k: int
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The (lo, hi) of _sum_bounds for long-double row sums of k + 1
-    terms, given the long-double sums of the rows' |terms|."""
+    """Doubles (lo, hi) per row such that math.fsum of the row lies in
+    [lo, hi], given the np.longdouble sums of rows of k + 1 float64 terms
+    and the long-double sums of the rows' |terms|.
+
+    np.longdouble is an IEEE format with unit u = _LD_UNIT.  In any order,
+    a sum of n terms is off by at most gamma_k sum|w| (k = n - 1,
+    gamma_k = k u / (1 - k u)), and with a the computed sum of |w| that is
+    at most k u a / (1 - 2 k u).  The factor 1 + 8u covers the four
+    roundings in evaluating it, and two smallest subnormals cover its
+    underflow.  Each end moves one long-double step outward and is rounded
+    to double; rounding is monotone, so the rounded exact sum lies between
+    the rounded ends.
+    """
     u = _LD_UNIT
     err = (k * u) / (1 - 2 * k * u) * (1 + 8 * u) * abs_sums + 2 * _LD_TINY
     return (np.nextafter(sums - err, -np.inf).astype(float),
@@ -400,7 +369,7 @@ def _sum_interval(sums: np.ndarray, abs_sums: np.ndarray, k: int
 
 def _fsum_rows(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """math.fsum of each row of the 2-D float64 array w, bit for bit, given
-    its (lo, hi) from _sum_bounds.  A row whose bounds are one finite
+    its (lo, hi) from _sum_interval.  A row whose bounds are one finite
     nonzero double is that double; every other row goes to math.fsum,
     which settles the sign of a zero sum and raises on overflow."""
     out = lo.copy()
@@ -412,23 +381,10 @@ def _fsum_rows(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _signed_mass(fm: FiberMeasure):
     """Mass in weight units (the numerator on the exact side); 0 for a
     near-balanced float fiber, |mass| <= 1e-12 |weights|_1, both sides
-    of that test being math.fsum values.  The bounds of _sum_bounds
-    decide the test without math.fsum when they can."""
+    of that test being math.fsum values."""
     if fm.exact:
         return sum(fm.weights.tolist())
-    # _sum_bounds and _fsum_rows on the one row, in scalars
-    w, u, k = fm.weights, _LD_UNIT, len(fm.weights) - 1
-    s = w.sum(dtype=np.longdouble)
-    a = np.abs(w).sum(dtype=np.longdouble)
-    err = (k * u) / (1 - 2 * k * u) * (1 + 8 * u) * a + 2 * _LD_TINY
-    lo = float(np.nextafter(s - err, -np.inf))
-    hi = float(np.nextafter(s + err, np.inf))
-    if max(-lo, hi) <= _BALANCE_RTOL * float(np.nextafter(a - err, -np.inf)):
-        return 0.0
-    m = lo if lo == hi and lo != 0 and math.isfinite(lo) \
-        else math.fsum(w.tolist())
-    if abs(m) > _BALANCE_RTOL * float(np.nextafter(a + err, np.inf)):
-        return m
+    m = fm.mass()
     return 0.0 if abs(m) <= _BALANCE_RTOL * fm.abs_mass() else m
 
 
@@ -452,9 +408,7 @@ def _w1_flat(fm: FiberMeasure, m):
     np.subtract(pos[1:], pos[:-1], out=gaps[:-1])
     gaps[-1] = (pos[0] + fm.q) - pos[-1]
     if m == 0:
-        center = 0.0 if _median_is_zero(fm, prefix, gaps) \
-            else _lower_median(prefix, gaps)
-        best = np.dot(gaps, np.abs(prefix - center))
+        best = np.dot(gaps, np.abs(prefix - _lower_median(prefix, gaps)))
     else:
         if m < 0:
             prefix, m = -prefix, -m

@@ -4,13 +4,14 @@ These are deliberately dumb: a dense-grid linear program and an all-pairs
 atom program for the capped Lipschitz dual norm, direct definitional
 sums for oscillation and var_p, and the one-difference-at-a-time W1 loop
 that var_p's batched pair norms replace.  They share no code paths with
-the library shortcuts they check.
+the library shortcuts they check.  The base map's 1D transfer of
+piecewise-constant densities reads the piece table that transfer_step
+uses, and checks the marginal of each transfer step.
 
 The last group keeps the plain forms of kernels that have fast paths,
 for bit-for-bit comparisons: canonical form by a full stable sort, the
-cubic bump by searchsorted, the balance test through the 2-D row-sum
-kernel, and the invariant-measure loop with the exact residual at every
-step.
+cubic bump by searchsorted, the balance test by two math.fsum values,
+and the invariant-measure loop with the exact residual at every step.
 """
 
 from __future__ import annotations
@@ -182,6 +183,17 @@ def pair_w1_loop(table, pairs) -> np.ndarray:
                     dtype=float)
 
 
+def transfer_density(base, values: np.ndarray) -> np.ndarray:
+    """One step of the base map's induced 1D transfer on piecewise-constant
+    densities, the marginal that transfer_step must reproduce."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    base.check_grid(n)
+    t = dynamics._pieces(base, n)
+    weights = values[t.src] * np.array(t.fracs, dtype=float)[t.code]
+    return np.bincount(t.out, weights=weights, minlength=n)
+
+
 # -- plain forms of the kernels with fast paths -------------------------
 
 
@@ -235,19 +247,14 @@ def hermite_by_search(t: np.ndarray) -> np.ndarray:
 
 
 def signed_mass_by_rows(fm: FiberMeasure):
-    """The W1 balance test on the fiber's weights as a 1-row array of the
-    row-sum kernel: the mass, or 0 when |mass| <= 1e-12 |weights|_1 (both
-    math.fsum values)."""
+    """The W1 balance test by its definition on the row of the fiber's
+    weights: the mass, or 0 when |mass| <= 1e-12 |weights|_1, both sides
+    summed by math.fsum."""
     if fm.exact:
         return sum(fm.weights.tolist())
-    w = fm.weights[None, :]
-    lo, hi, abs_lo, abs_hi = measures._sum_bounds(w)
-    if max(-lo[0], hi[0]) <= 1e-12 * abs_lo[0]:
-        return 0.0
-    m = float(measures._fsum_rows(w, lo, hi)[0])
-    if abs(m) > 1e-12 * abs_hi[0]:
-        return m
-    return 0.0 if abs(m) <= 1e-12 * fm.abs_mass() else m
+    m = math.fsum(fm.weights.tolist())
+    return 0.0 if abs(m) <= 1e-12 * math.fsum(np.abs(fm.weights).tolist()) \
+        else m
 
 
 def combine_by_sort(parts) -> FiberMeasure:

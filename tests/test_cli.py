@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from skewstab.arithmetic import lacunary_theta
 from skewstab.cli import _print_json, main
 from skewstab.configio import load_family, load_measure
+from skewstab.measures import l1_norm
+from skewstab.stability import prop_bahh_system
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -496,6 +499,24 @@ def test_invariant_writes_measure(doubling_path, tmp_path):
     assert doc["n_cells"] == 32
     assert len(doc["ids"]) == 32
     assert sorted(set(doc["ids"])) == list(range(len(doc["fibers"])))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: at the default eps_f the run converges to a spurious "
+    "fixed point 7.9e-3 from mu_orbit and exits 0"))
+def test_prop_bahh_default_grid_refuses_or_finds_the_orbit(tmp_path):
+    # the prop-bahh j = 1 system: its physical measure is mu_orbit
+    code = main(["invariant", "--config",
+                 str(ROOT / "configs" / "prop_bahh_j1_default_grid.json"),
+                 "--N", "1024", "--fiber-atoms", "2048", "--tol", "1e-7",
+                 "--nmax", "3000", "--out-dir", str(tmp_path),
+                 "--out", "inv.json"])
+    if code == 2:
+        return
+    assert code == 0
+    mu = load_measure(json.loads((tmp_path / "inv.json").read_text()))
+    ex = prop_bahh_system(lacunary_theta(3), 1, n_cells=1024)
+    assert float(l1_norm(mu - ex.mu_orbit.to_float())) <= 4 / 1024
 
 
 def test_example_prop_bahh(capsys):
