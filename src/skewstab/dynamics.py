@@ -248,10 +248,17 @@ class OrbitBump:
 
     # x - floor(x) is np.mod(x, 1.0) bit for bit on finite doubles
     # (-0.0 and integers give +0.0, tiny negatives round to 1.0), at a
-    # fraction of its cost
+    # fraction of its cost.  g has period 1/k: on k copies of one block of
+    # points, each shifted by 1/k (a sorted fiber that the rotation by 1/k
+    # maps onto itself), t repeats exactly and the profile is evaluated
+    # on one block
     def g(self, y: np.ndarray) -> np.ndarray:
         x = np.asarray(y, dtype=float) * self.orbit_k
-        return _hermite_eval(x - np.floor(x))
+        t = x - np.floor(x)
+        m, rest = divmod(t.size, self.orbit_k)
+        if t.ndim == 1 and m and not rest and np.array_equal(t[m:], t[:-m]):
+            return _hermite_eval(t[:m])[None].repeat(self.orbit_k, 0).ravel()
+        return _hermite_eval(t)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         x = y + self.strength * self.g(y)
@@ -325,7 +332,8 @@ class FiberMapFamily:
         G(x, .) for x inside (member true) or outside the indicator set:
         the rotation by theta on the indicator set, then the deformation.
         The deformation acts atom by atom, so it is evaluated once, on the
-        distinct position arrays of the rotated fibers together."""
+        distinct position arrays of the rotated fibers together; fibers on
+        one array share its canonical image (see _apply_map_many)."""
         out = [fm.translate(self.theta) if member and self.theta != 0 else fm
                for fm, member in items]
         bump = self.bump
@@ -434,7 +442,8 @@ def transfer_step(sys: SkewSystem, dis: Disintegration,
     map and scaled by the piece's fraction.  Each used (source fiber id,
     indicator flag) key is pushed once, and cells with equal rows of
     (pushed fiber, fraction code) terms share one sum, snapped to the
-    eps_f-grid as it is made."""
+    eps_f-grid as it is made; pushes that share positions add elementwise
+    (see measures._combine)."""
     n = dis.n_cells
     sys.base.check_grid(n)
     if eps_f is None:
@@ -445,7 +454,7 @@ def transfer_step(sys: SkewSystem, dis: Disintegration,
     seen = np.zeros(2 * len(dis.table), dtype=bool)
     seen[key] = True
     used = np.flatnonzero(seen)
-    key = (np.cumsum(seen) - 1)[key]
+    key = (seen.cumsum() - 1)[key]
     pushed = sys.fiber.push_many([(dis.table[k >> 1], k & 1)
                                   for k in used.tolist()])
     terms = np.full((n, t.width), -1, dtype=np.int64)
@@ -487,7 +496,13 @@ class _OrbitScreen:
 
     def _stats(self, dis: Disintegration) -> tuple:
         # the integral of phi on each cell, sum_x |dis_x|_1, the total
-        # atom count and the largest fiber's
+        # atom count and the largest fiber's; for a one-fiber table the
+        # dots with its one-entry count array are single products
+        if len(dis.table) == 1:
+            f, n = dis.table[0].to_float(), dis.n_cells
+            i = np.dot(self.bump.phi(f.positions), f.weights)
+            return np.full(n, i), n * float(np.abs(f.weights).sum()), \
+                n * len(f), len(f)
         table = [f.to_float() for f in dis.table]
         integrals = np.array([np.dot(self.bump.phi(f.positions), f.weights)
                               for f in table])

@@ -7,9 +7,11 @@ plus a table of content-distinct fibers numbered by first appearance, and
 Disintegration(ids, table) is its public constructor; algebra, coarsening
 and the norms work on the table and the id array, so their cost scales
 with the number of distinct fibers rather than N.  Every sum of scaled
-fibers goes through _combine, which combine_cells runs once per distinct
-row of per-cell terms.  The built-in measures (uniform and Lebesgue)
-are built exact; their float form is the exact one rounded once.
+fibers goes through _combine, one pass over arrays per distinct row of
+per-cell terms in combine_cells; the pushes of one position array share
+its image, put in canonical order once, and add elementwise.  The
+built-in measures (uniform and Lebesgue) are built exact; their float
+form is the exact one rounded once.
 
 The W1 norm here is the dual Lipschitz norm with the extra sup bound
 (|g| <= 1, Lip(g) <= 1), the flat norm of the circle, in one closed form
@@ -78,21 +80,73 @@ def _reduce(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return (nums // g, den // g) if g > 1 else (nums, den)
 
 
-def _merge_runs(pos: np.ndarray, w: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _merge_runs(pos: np.ndarray, ws: list[np.ndarray]
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sorted positions with the weights of equal neighbours added by one
-    np.add.reduceat."""
+    np.add.reduceat, in each weight array of ws."""
     fresh = pos[1:] != pos[:-1]
     if fresh.all():
-        return pos, w
+        return pos, ws
     starts = np.flatnonzero(np.concatenate(([True], fresh)))
-    return pos[starts], np.add.reduceat(w, starts)
+    return pos[starts], [np.add.reduceat(w, starts) for w in ws]
+
+
+def _kept(pos: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float atoms whose weights are at least 1e-15."""
+    a = np.abs(w)
+    if not len(a) or a.min() >= _DROP_TOL:
+        return pos, w
+    keep = a >= _DROP_TOL
+    return pos[keep], w[keep]
+
+
+def _order(pos: np.ndarray, ws: list[np.ndarray], q: int | None
+           ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Positions reduced mod 1 (mod q, exact) and put in the order of a
+    stable argsort, coincident atoms merged by np.add.reduceat, each
+    weight array of ws moved the same way.
+
+    A strictly increasing run is already in that order, and a cyclic
+    shift of one (one descent, last below first: the push of a sorted
+    fiber by a rotation or another orientation-preserving circle map) is
+    rotated back by two slices; neither has ties, so only other inputs are
+    sorted."""
+    if not len(pos):
+        return pos, ws
+    if q is not None:
+        pos = pos % q
+    else:
+        pos = pos - np.floor(pos)
+        pos[pos >= 1.0] = 0.0
+    if len(pos) > 1:
+        rising = pos[1:] > pos[:-1]
+        up = np.count_nonzero(rising)
+        if up == len(rising) - 1 and pos[-1] < pos[0]:
+            i = int(rising.argmin()) + 1
+            return (np.concatenate((pos[i:], pos[:i])),
+                    [np.concatenate((w[i:], w[:i])) for w in ws])
+        if up < len(rising):
+            order = np.argsort(pos, kind="stable")
+            return _merge_runs(pos[order], [w[order] for w in ws])
+    return pos, ws
 
 
 def _fiber(pos: np.ndarray, w: np.ndarray, q: int | None = None,
            r: int | None = None, presorted: bool = False) -> "FiberMeasure":
     out = FiberMeasure.__new__(FiberMeasure)
     out._set(pos, w, q, r, presorted)
+    return out
+
+
+def _moved(pos: np.ndarray, w: np.ndarray, n: int) -> "FiberMeasure":
+    """The float fiber on canonical arrays that hold n atoms of canonical
+    fibers, moved by _order or _merge_runs or added and kept: unless a
+    merge left fewer, their weights are all still at least 1e-15."""
+    if len(pos) < n:
+        return _fiber(pos, w, presorted=True)
+    out = FiberMeasure.__new__(FiberMeasure)
+    out.exact, out.positions, out.weights, out.q, out.r, out._key = \
+        False, pos, w, 1, 1, None
     return out
 
 
@@ -140,44 +194,25 @@ class FiberMeasure:
         """Canonical form from 1-D arrays: float64 values, or (q and r
         given) integer numerators over the denominators q and r.
 
-        Positions are reduced mod 1 and put in the order of a stable
-        argsort, coincident atoms merged by np.add.reduceat; presorted=True
-        says that has been done.  A strictly increasing run is already in
-        that order, and a cyclic shift of one (one descent, last below
-        first: the push of a sorted fiber by a rotation or another
-        orientation-preserving circle map) is rotated back by two slices;
-        neither has ties, so only other inputs are sorted.  Weights below
-        1e-15 (float) or exactly zero (exact) are dropped, and exact
-        denominators are reduced by their gcd with the numerators, so equal
-        content means equal arrays and denominators.
+        Positions are put in canonical order by _order; presorted=True
+        says that has been done.  Weights below 1e-15 (float) or exactly
+        zero (exact) are dropped, and exact denominators are reduced by
+        their gcd with the numerators, so equal content means equal arrays
+        and denominators.
         """
         exact = q is not None
-        if not presorted and len(pos):
-            if exact:
-                pos = pos % q
-            else:
-                pos = pos - np.floor(pos)
-                pos[pos >= 1.0] = 0.0
-            if len(pos) > 1:
-                rising = pos[1:] > pos[:-1]
-                if not rising.all():
-                    descents = np.flatnonzero(~rising)
-                    if len(descents) == 1 and pos[-1] < pos[0]:
-                        i = descents[0] + 1
-                        pos = np.concatenate((pos[i:], pos[:i]))
-                        w = np.concatenate((w[i:], w[:i]))
-                    else:
-                        order = np.argsort(pos, kind="stable")
-                        pos, w = _merge_runs(pos[order], w[order])
-        keep = w != 0 if exact else np.abs(w) >= _DROP_TOL
-        if not keep.all():
-            pos, w = pos[keep], w[keep]
+        if not presorted:
+            pos, (w,) = _order(pos, [w], q)
         self.exact = exact
         if exact:
+            keep = w != 0
+            if not keep.all():
+                pos, w = pos[keep], w[keep]
             self.positions, self.q = _reduce(pos, q)
             self.weights, self.r = _reduce(w, r)
         else:
-            self.positions, self.weights, self.q, self.r = pos, w, 1, 1
+            self.positions, self.weights = _kept(pos, w)
+            self.q = self.r = 1
         self._key = None
 
     # -- basic queries ---------------------------------------------------
@@ -243,30 +278,44 @@ class FiberMeasure:
                           + s.numerator * (q // s.denominator),
                           self.weights, q, self.r)
         a = self.to_float()
-        return _fiber(a.positions + float(shift), a.weights)
+        pos, (w,) = _order(a.positions + float(shift), [a.weights], None)
+        return _moved(pos, w, len(a))
 
 
 def _apply_map_many(fibers: Sequence[FiberMeasure],
                     fn: Callable[[np.ndarray], np.ndarray]
                     ) -> list[FiberMeasure]:
     """Pushforward of each fiber by a vectorized float map fn that acts
-    atom by atom: one call of fn on the distinct position arrays,
-    concatenated."""
+    atom by atom: one call of fn on the distinct position arrays (by
+    identity, then equality), concatenated, and one _order of each image
+    for all the weight arrays on it, whose pushes share its positions."""
     floats = [fm.to_float() for fm in fibers]
-    keys = [f.positions.tobytes() for f in floats]
-    distinct = {}
-    for f, key in zip(floats, keys):
+    # distinct arrays bucketed by (length, first, last), so that only
+    # arrays that may be equal are compared
+    buckets: dict = {}
+    for i, f in enumerate(floats):
         if len(f):
-            distinct.setdefault(key, f.positions)
-    if not distinct:
+            pos = f.positions
+            bucket = buckets.setdefault((len(pos), pos[0], pos[-1]), [])
+            for other, members in bucket:
+                if other is pos or np.array_equal(other, pos):
+                    members.append(i)
+                    break
+            else:
+                bucket.append((pos, [i]))
+    groups = [g for bucket in buckets.values() for g in bucket]
+    if not groups:
         return floats
-    images = np.asarray(fn(np.concatenate(list(distinct.values()))),
+    images = np.asarray(fn(np.concatenate([pos for pos, _ in groups])),
                         dtype=float).reshape(-1)
-    image, start = {}, 0
-    for key, pos in distinct.items():
-        image[key], start = images[start:start + len(pos)], start + len(pos)
-    return [_fiber(image[key], f.weights) if len(f) else f
-            for f, key in zip(floats, keys)]
+    out, start = list(floats), 0
+    for pos, members in groups:
+        image, ws = _order(images[start:start + len(pos)],
+                           [floats[i].weights for i in members], None)
+        start += len(pos)
+        for i, w in zip(members, ws):
+            out[i] = _moved(image, w, len(pos))
+    return out
 
 
 def _times(values: np.ndarray, factor) -> np.ndarray:
@@ -277,14 +326,15 @@ def _combine(parts) -> FiberMeasure:
     """Sum of s * fm over the (fm, s) pairs.
 
     Exact when every fiber and coefficient is exact: one merge of the
-    numerators over common denominators.  Otherwise in floats: each scaled
-    part drops weights below 1e-15, and the parts merge one after another,
-    ((p1 + p2) + p3), because a float sum depends on the order (one
-    np.add.reduceat adds three coincident atoms as a + (b + c)).  Two
-    parts on the same positions add elementwise, the o_i + a_i that
-    the merge of their concatenation computes; other parts are canonical
-    (reduced mod 1, sorted and distinct), so their concatenation is only
-    sorted and merged.
+    numerators over common denominators.  Otherwise one pass in floats
+    over the parts' arrays, building no fiber per part: each scaled part
+    and each running sum drops its weights below 1e-15, and the parts add
+    one after another, ((p1 + p2) + p3), because a float sum depends on
+    the order (one np.add.reduceat adds three coincident atoms as
+    a + (b + c)).  A part on the running sum's positions (the same array,
+    as the pushes of one array share, or an equal one) adds elementwise;
+    other parts are canonical (reduced mod 1, sorted and distinct), so
+    their concatenation with the sum is only sorted and merged.
     """
     if all(fm.exact and _is_exact_scalar(s) for fm, s in parts):
         dens = [fm.r * Fraction(s).denominator for fm, s in parts]
@@ -294,29 +344,29 @@ def _combine(parts) -> FiberMeasure:
              for (fm, s), d in zip(parts, dens)]
         return _fiber(np.concatenate(pos), np.concatenate(w), q, r,
                       presorted=len(parts) == 1)
-    out = None
+    pos = w = None
     for fm, s in parts:
         a = fm.to_float()
+        p, v = a.positions, a.weights
         if s != 1:
-            a = _fiber(a.positions, a.weights * float(s), presorted=True)
-        if out is None:
-            out = a
-        elif np.array_equal(out.positions, a.positions):
-            out = _fiber(a.positions, out.weights + a.weights,
-                         presorted=True)
+            p, v = _kept(p, v * float(s))
+        if w is None:
+            pos, w = p, v
+        elif pos is p or np.array_equal(pos, p):
+            pos, w = _kept(pos, w + v)
         else:
             # each position occurs at most twice; a pair adds o + a, as
             # np.add.reduceat of the pair would, and its zeroed second
             # atom goes with the weights below 1e-15
-            pos = np.concatenate((out.positions, a.positions))
+            pos = np.concatenate((pos, p))
             order = np.argsort(pos, kind="stable")
             pos = pos[order]
-            w = np.concatenate((out.weights, a.weights))[order]
+            w = np.concatenate((w, v))[order]
             pair = np.flatnonzero(pos[1:] == pos[:-1])
             w[pair] += w[pair + 1]
             w[pair + 1] = 0.0
-            out = _fiber(pos, w, presorted=True)
-    return out
+            pos, w = _kept(pos, w)
+    return _moved(pos, w, len(pos))
 
 
 # --------------------------------------------------------------------------
@@ -806,7 +856,8 @@ def coarsen(fm: FiberMeasure, eps) -> FiberMeasure:
     e = float(eps)
     if not 0.0 < e < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if len(fm) == 0:
+    n = len(fm)
+    if n == 0:
         return fm
     # floor(p / e) * e is monotone, so the sorted positions stay sorted
     # and only equal neighbours merge; when e is not a power of two the
@@ -814,5 +865,5 @@ def coarsen(fm: FiberMeasure, eps) -> FiberMeasure:
     pos = np.floor(fm.positions / e) * e
     if pos[-1] >= 1.0:
         return _fiber(pos, fm.weights)
-    return _fiber(*_merge_runs(pos, fm.weights), presorted=True)
-
+    pos, (w,) = _merge_runs(pos, [fm.weights])
+    return _moved(pos, w, n)

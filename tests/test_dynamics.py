@@ -304,6 +304,29 @@ def _bump_reference(bump: OrbitBump, y: np.ndarray):
     return g, np.mod(y + bump.strength * g, 1.0)
 
 
+def test_bump_on_a_rotation_invariant_grid_matches_mod_formula(monkeypatch):
+    # k copies of one block shifted by 1/k exactly (dyadic points and k a
+    # power of two): g evaluates its profile on one block
+    sizes = []
+    monkeypatch.setattr(dynamics, "_hermite_eval",
+                        lambda t: sizes.append(len(t)) or _hermite_eval(t))
+    block = np.unique(np.random.default_rng(73).integers(0, 2 ** 36, 130))
+    for bump, ys in ((OrbitBump(16, 2.0 ** -14),
+                      (block * 2.0 ** -40 + np.arange(16)[:, None] / 16)),
+                     (OrbitBump(4, 0.01), np.arange(4096) / 4096)):
+        ys = ys.reshape(-1)
+        g_ref, im_ref = _bump_reference(bump, ys)
+        assert bump.g(ys).tobytes() == g_ref.tobytes()
+        assert bump(ys).tobytes() == im_ref.tobytes()
+    assert sizes == [len(block)] * 2 + [1024] * 2
+    # a block that repeats only up to rounding is evaluated whole
+    ys = np.sort(np.random.default_rng(79).random(99)) / 3
+    ys = (ys + np.arange(3)[:, None] / 3).reshape(-1)
+    bump = OrbitBump(3, 0.01)
+    assert bump.g(ys).tobytes() == _bump_reference(bump, ys)[0].tobytes()
+    assert sizes[-1] == len(ys)
+
+
 def test_bump_bits_match_mod_formula():
     rng = np.random.default_rng(71)
     edge = np.array([-0.0, 0.0, 1.0, -1.0, 3.0, -7.0, 2.0 ** -60,
@@ -560,6 +583,20 @@ def test_criterion7_loop_bits_are_pinned():
     assert res.residual == 3.035987677435515e-05
     assert _measure_digest()(res.measure) == \
         "fe9b847acb205dcbef207c66ba701c25fcb35586a703fbb81912608edc65f80e"
+
+
+def test_criterion7_full_run_bits_are_pinned():
+    # the pipeline benchmark's whole criterion-7 run at N = 64: 1362 steps,
+    # 114 of which push the rotated fiber onto other positions than the
+    # unrotated one, so that their row sums merge (the 200-step pin above
+    # sees 12 of them)
+    ex = prop_bahh_system(lacunary_theta(3), 1, n_cells=64)
+    res = invariant_measure(ex.pspec.perturbed, tol=1e-7, n_max=3000,
+                            eps_f=2.0 ** -40, n_cells=64, fiber_atoms=2048)
+    assert res.converged and res.n_steps == 1362
+    assert res.residual == 9.986194271505155e-08
+    assert _measure_digest()(res.measure) == \
+        "fd486dfae7ae5f354c140668dcc49e2b01a085e0b7e4d456bbca071df48e7677"
 
 
 def test_regularity_measure_bits_are_pinned():

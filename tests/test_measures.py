@@ -23,7 +23,7 @@ from skewstab.batteries import (
     signed_disintegrations,
     signed_fiber_measures,
 )
-from skewstab.arithmetic import golden_angle
+from skewstab.arithmetic import golden_angle, lacunary_theta
 from skewstab.dynamics import (
     FiberMapFamily,
     OrbitBump,
@@ -62,6 +62,7 @@ from skewstab.measures import (
     _w1_flat,
     _w1_tableau,
 )
+from skewstab.stability import prop_bahh_system
 
 
 def dipole(a: float, b: float) -> FiberMeasure:
@@ -860,6 +861,22 @@ def test_pushes_of_a_sorted_fiber_match_full_sort():
                     canonical_by_sort(pos.copy(), fm.weights))
 
 
+def test_push_many_shares_the_image_of_a_rotation_invariant_fiber():
+    # the float Lebesgue fiber of criterion 7's grid is invariant under
+    # the family's rotation by 1/16: both pushes deform one position
+    # array, canonicalized once, and keep their own weights
+    fam = prop_bahh_system(lacunary_theta(3), 1).pspec.perturbed.fiber
+    assert fam.theta == F(1, 16)
+    grid = uniform_fiber(2048).to_float().positions
+    fm = FiberMeasure(grid, 1 + np.sin(7 * grid))
+    rotated = fm.positions + float(fam.theta)
+    rotated -= np.floor(rotated)
+    out = fam.push_many([(fm, 0), (fm, 1)])
+    assert out[0].positions is out[1].positions
+    for got, pos in zip(out, (fm.positions, rotated)):
+        _same_float(got, canonical_by_sort(fam.bump(pos), fm.weights))
+
+
 @given(data=st.data())
 def test_deformation_of_many_fibers_matches_one_at_a_time(data):
     bump = OrbitBump(data.draw(st.sampled_from([1, 2, 16])), 2.0 ** -9)
@@ -952,6 +969,32 @@ def test_combine_matches_merge_by_full_sort(data):
     _same_float(_combine(parts), (*combine_by_sort(parts), 1, 1))
 
 
+@given(data=st.data())
+def test_combine_on_one_shared_array_matches_merge_by_full_sort(data):
+    # parts on one positions object, as push_many returns the pushes of
+    # one position array: the elementwise sums, with atoms that the 1e-15
+    # drop removes from some scaled parts only (2e-15 * 0.25, 2.0 * 1e-16)
+    # or from a sum (a part less itself)
+    grid = data.draw(st.sampled_from([8, 12, 1000]))
+    cells = data.draw(st.lists(st.integers(0, grid - 1), min_size=1,
+                               max_size=12, unique=True))
+    pos = np.array(sorted(cells)) / grid
+    weights = st.floats(-2, 2).filter(lambda v: abs(v) >= 1e-15) | \
+        st.sampled_from([2e-15, -2e-15, 20.0, -20.0])
+    parts = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        w = data.draw(st.lists(weights, min_size=len(pos),
+                               max_size=len(pos)))
+        parts.append((_fiber(pos, np.array(w), presorted=True),
+                      data.draw(st.sampled_from([1, -1, 0.5, 0.25, 1e-16,
+                                                 F(1, 3)]))))
+    if data.draw(st.booleans()):
+        fm, s = data.draw(st.sampled_from(parts))
+        parts.append((fm, -s))
+    assert all(fm.positions is pos for fm, _ in parts)
+    _same_float(_combine(parts), (*combine_by_sort(parts), 1, 1))
+
+
 # ------------------------------------------------------ balanced W1
 
 @given(data=st.data())
@@ -973,17 +1016,17 @@ def test_balanced_flat_norm_matches_full_sort(data):
         np.float64(flat_balanced_by_sort(fm)).tobytes()
 
 
-@pytest.mark.parametrize("pos, w, zero, median", [
-    ([0.25, 0.5, 0.75], [1.0, -1.0, 0.0], True, 0.0),
+@pytest.mark.parametrize("pos, w, median", [
+    ([0.25, 0.5, 0.75], [1.0, -1.0, 0.0], 0.0),
     # off the dyadic grid, where the gap sums round
-    ([0.1, 0.5, 0.7], [1.0, -1.0, 0.0], False, 0.0),
+    ([0.1, 0.5, 0.7], [1.0, -1.0, 0.0], 0.0),
     # the negative prefix sums hold exactly half the gaps: the median is
     # the last of them
-    ([0.0, 0.25, 0.5, 0.75], [-1.0, 1.0, -1.0, 1.0], False, -1.0),
+    ([0.0, 0.25, 0.5, 0.75], [-1.0, 1.0, -1.0, 1.0], -1.0),
     # no prefix sum is 0
-    ([0.0, 0.5], [1.0, -1.0 + 2.0 ** -20], False, 2.0 ** -20),
+    ([0.0, 0.5], [1.0, -1.0 + 2.0 ** -20], 2.0 ** -20),
 ])
-def test_zero_median_needs_exact_gap_sums(pos, w, zero, median):
+def test_lower_median_of_gap_sums(pos, w, median):
     fm = FiberMeasure(pos, w)
     prefix = np.cumsum(fm.weights)
     gaps = np.diff(fm.positions, append=fm.positions[0] + 1)
