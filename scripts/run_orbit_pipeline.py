@@ -3,7 +3,7 @@ physical measure is an attracting period-16 orbit product.
 
 Confirms that the generic Ulam-type pipeline lands on the known exact
 measure: distance 2.6e-4, below 4/N at N = 1024, after 1362 transfer
-steps, in 0.3 to 0.6 s (0.25 to 0.45 ms per step, with the load) on a
+steps, in 0.2 to 0.3 s (0.12 to 0.21 ms per step, with the load) on a
 shared 2-core x86 machine with Python 3.11 and numpy 2.4.  Prints a
 sha256 of the returned measure (its cell ids and every distinct fiber's
 float64 positions and weights, so equal digests mean bit-identical

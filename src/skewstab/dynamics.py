@@ -25,7 +25,8 @@ from .measures import (
     Disintegration,
     FiberMeasure,
     _apply_map_many,
-    combine_cells,
+    _row_groups,
+    _sum_rows,
     l1_norm,
     lebesgue_disintegration,
     marginal_density,
@@ -260,8 +261,12 @@ class OrbitBump:
             return _hermite_eval(t[:m])[None].repeat(self.orbit_k, 0).ravel()
         return _hermite_eval(t)
 
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """y + strength * g(y), the deformation before reduction mod 1."""
+        return y + self.strength * self.g(y)
+
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        x = y + self.strength * self.g(y)
+        x = self.lift(y)
         return x - np.floor(x)
 
     def phi(self, y: np.ndarray) -> np.ndarray:
@@ -331,9 +336,10 @@ class FiberMapFamily:
         """Pushforward of each fiber fm of the (fm, member) pairs by
         G(x, .) for x inside (member true) or outside the indicator set:
         the rotation by theta on the indicator set, then the deformation.
-        The deformation acts atom by atom, so it is evaluated once, on the
-        distinct position arrays of the rotated fibers together; fibers on
-        one array share its canonical image (see _apply_map_many)."""
+        The deformation acts atom by atom, so its lift is evaluated once, on
+        the distinct position arrays of the rotated fibers together; fibers
+        on one array share its canonical image, reduced mod 1 once (see
+        _apply_map_many)."""
         out = [fm.translate(self.theta) if member and self.theta != 0 else fm
                for fm, member in items]
         bump = self.bump
@@ -341,28 +347,30 @@ class FiberMapFamily:
             return out
         moved = [i for i, f in enumerate(out) if not bump.fixes(f)]
         for i, f in zip(moved, _apply_map_many([out[i] for i in moved],
-                                               bump)):
+                                               bump.lift)):
             out[i] = f
         return out
 
-    def indicator_member(self, cell: int, n_cells: int) -> bool:
-        lo, hi = Fraction(cell, n_cells), Fraction(cell + 1, n_cells)
-        for a, b in self.indicator:
-            if a <= lo and hi <= b:
-                return True
-            if lo < b and a < hi:
-                raise ValueError(
-                    f"indicator endpoint falls inside cell {cell}/{n_cells}; "
-                    f"use a grid aligned with the indicator")
-        return False
 
-
-@lru_cache(maxsize=128)
 def _membership(fam: FiberMapFamily, n_cells: int) -> np.ndarray:
-    flags = np.array([fam.indicator_member(c, n_cells)
-                      for c in range(n_cells)], dtype=np.int64)
-    flags.flags.writeable = False
-    return flags
+    """1 for the cells [c/N, (c+1)/N) inside the indicator set, else 0.
+
+    A cell is decided by the first interval [a, b] of fam.indicator that
+    it meets, floor(a N) <= c < ceil(b N): inside when a <= c/N and
+    (c+1)/N <= b, ceil(a N) <= c < floor(b N), and otherwise a ValueError
+    naming the first such cell, inside which an endpoint falls."""
+    cells, state = np.arange(n_cells), np.zeros(n_cells, dtype=np.int64)
+    for a, b in fam.indicator:
+        an, bn = Fraction(a) * n_cells, Fraction(b) * n_cells
+        meet = (state == 0) & (math.floor(an) <= cells) \
+            & (cells < math.ceil(bn))
+        inside = (math.ceil(an) <= cells) & (cells < math.floor(bn))
+        state[meet] = 2 - inside[meet]
+    if (state == 2).any():
+        raise ValueError(
+            f"indicator endpoint falls inside cell {int(state.argmax())}/"
+            f"{n_cells}; use a grid aligned with the indicator")
+    return state
 
 
 def _angle_value(theta):
@@ -435,6 +443,46 @@ def _default_eps(n_cells: int) -> float:
     return 1.0 / (4 * n_cells)
 
 
+class _Plan:
+    """What transfer_step reads of one (system, N, eps_f) besides the
+    measure: the pieces with their indicator flags, eps_f, the fractions
+    as floats (for all-float pushes) and the last id array's layout."""
+
+    def __init__(self, sys: SkewSystem, n: int, eps_f):
+        sys.base.check_grid(n)
+        self.sys, self.n, self.eps_given = sys, n, eps_f
+        self.eps_f = _default_eps(n) if eps_f is None else eps_f
+        self.pieces = t = _pieces(sys.base, n)
+        self.flags = _membership(sys.fiber, n)[t.src]
+        self.float_fracs = tuple(float(f) for f in t.fracs)
+        self.last = (None, None)
+
+    def layout(self, dis: Disintegration) -> tuple:
+        """The (fiber id, flag) keys to push, in increasing order, and the
+        _row_groups of the cells' (pushed key, fraction code) terms, for
+        dis's id array; rebuilt only when it differs from the last one."""
+        ids = dis.ids.tobytes()
+        last, layout = self.last
+        if ids == last:
+            return layout
+        t = self.pieces
+        key = dis.ids[t.src] * 2 + self.flags
+        # the used keys in increasing order, and each piece's rank among them
+        seen = np.zeros(2 * len(dis.table), dtype=bool)
+        seen[key] = True
+        used = np.flatnonzero(seen)
+        key = (seen.cumsum() - 1)[key]
+        terms = np.full((self.n, t.width), -1, dtype=np.int64)
+        terms[t.out, t.slot] = key * len(t.fracs) + t.code
+        layout = ([(k >> 1, k & 1) for k in used.tolist()],
+                  *_row_groups(terms, len(t.fracs)))
+        self.last = (ids, layout)
+        return layout
+
+
+_plan: _Plan | None = None
+
+
 def transfer_step(sys: SkewSystem, dis: Disintegration,
                   eps_f: float | None = None) -> Disintegration:
     """One application of the transfer operator on the grid: output cell k
@@ -443,23 +491,20 @@ def transfer_step(sys: SkewSystem, dis: Disintegration,
     indicator flag) key is pushed once, and cells with equal rows of
     (pushed fiber, fraction code) terms share one sum, snapped to the
     eps_f-grid as it is made; pushes that share positions add elementwise
-    (see measures._combine)."""
-    n = dis.n_cells
-    sys.base.check_grid(n)
-    if eps_f is None:
-        eps_f = _default_eps(n)
-    t = _pieces(sys.base, n)
-    key = dis.ids[t.src] * 2 + _membership(sys.fiber, n)[t.src]
-    # the used keys in increasing order, and each piece's rank among them
-    seen = np.zeros(2 * len(dis.table), dtype=bool)
-    seen[key] = True
-    used = np.flatnonzero(seen)
-    key = (seen.cumsum() - 1)[key]
-    pushed = sys.fiber.push_many([(dis.table[k >> 1], k & 1)
-                                  for k in used.tolist()])
-    terms = np.full((n, t.width), -1, dtype=np.int64)
-    terms[t.out, t.slot] = key * len(t.fracs) + t.code
-    return combine_cells(pushed, terms, t.fracs, eps_f)
+    (see measures._combine).  The grid check, pieces, indicator flags and
+    float fractions are built once per (system object, N, eps_f), kept
+    for the last such triple, and the used keys and row groups again only
+    when the id array differs from the previous step's."""
+    global _plan
+    plan = _plan
+    if plan is None or plan.sys is not sys or plan.n != dis.n_cells \
+            or plan.eps_given != eps_f:
+        plan = _plan = _Plan(sys, dis.n_cells, eps_f)
+    used, rows, groups = plan.layout(dis)
+    pushed = sys.fiber.push_many([(dis.table[i], f) for i, f in used])
+    coefs = plan.pieces.fracs if any(f.exact for f in pushed) \
+        else plan.float_fracs
+    return _sum_rows(pushed, rows, groups, coefs, plan.eps_f)
 
 
 @dataclass(frozen=True)
@@ -487,22 +532,22 @@ def _screen_bump(sys: SkewSystem) -> OrbitBump | None:
 
 class _OrbitScreen:
     """Certified lower bounds on invariant_measure's residuals from the
-    integrals of the bump's phi, kept per cell for the last measure seen
+    integrals of the bump's phi, kept per cell for the last measure seen;
+    a one-fiber table keeps its one integral, which floor multiplies by N
     (see invariant_measure)."""
 
     def __init__(self, bump: OrbitBump, mu: Disintegration):
-        self.bump = bump
+        self.bump, self.n = bump, mu.n_cells
         self.stats = self._stats(mu)
 
     def _stats(self, dis: Disintegration) -> tuple:
         # the integral of phi on each cell, sum_x |dis_x|_1, the total
-        # atom count and the largest fiber's; for a one-fiber table the
-        # dots with its one-entry count array are single products
+        # atom count and the largest fiber's; a one-fiber table gives its
+        # one integral, and its dots with the counts are single products
         if len(dis.table) == 1:
             f, n = dis.table[0].to_float(), dis.n_cells
             i = np.dot(self.bump.phi(f.positions), f.weights)
-            return np.full(n, i), n * float(np.abs(f.weights).sum()), \
-                n * len(f), len(f)
+            return i, n * float(np.abs(f.weights).sum()), n * len(f), len(f)
         table = [f.to_float() for f in dis.table]
         integrals = np.array([np.dot(self.bump.phi(f.positions), f.weights)
                               for f in table])
@@ -517,10 +562,11 @@ class _OrbitScreen:
         seen; nxt becomes the measure last seen."""
         stats = self._stats(nxt)
         (i1, v1, t1, n1), (i0, v0, t0, n0) = stats, self.stats
-        s = float(np.abs(i1 - i0).sum())
+        d = np.abs(i1 - i0)
+        s = float(self.n * d if d.ndim == 0 else d.sum())
         vol = v1 + v0
         slack = 2 * (_DROP_TOL * min(t1, t0) + 3 * _BALANCE_RTOL * vol
-                     + (4 * (n1 + n0) + len(i1) + 32) * _UNIT * (vol + s))
+                     + (4 * (n1 + n0) + self.n + 32) * _UNIT * (vol + s))
         self.stats = stats
         return s - slack
 
@@ -537,6 +583,10 @@ def invariant_measure(sys: SkewSystem, tol: float = 1e-6, n_max: int = 200,
     converged means l1_norm(L mu - mu) < tol for the returned measure,
     and residual is that number (math.inf when n_max = 0), unless the
     mass drift exceeded 1e-9 and the measure was rescaled to mass 1.
+
+    Every step is a transfer_step of one system at one N and eps_f, so
+    its plan is built on the first step, and its layout only when the
+    ids change (never, while the table holds one fiber).
 
     Systems with an OrbitBump(k, s > 0) whose rotation maps the orbit
     {i/k} to itself (theta k an integer) skip the exact residual on steps
@@ -557,7 +607,8 @@ def invariant_measure(sys: SkewSystem, tol: float = 1e-6, n_max: int = 200,
     their second-order products and the rounding of the slack itself:
       - phi and the dot products: phi is within 1.5u, so a computed I
         is within (n + 2) u |f|_1, and the N-term sum of differences adds
-        (N + 2) u S;
+        (N + 2) u S (when L mu and mu are both one fiber, S is the one
+        product N |I(L mu) - I(mu)|, which rounds once, by u S);
       - the float difference d~ of nxt - mu: each paired weight rounds
         once (u V in all), and pairs whose sum falls below 1e-15 are
         dropped (at most 1e-15 P);

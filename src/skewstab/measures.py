@@ -288,7 +288,9 @@ def _apply_map_many(fibers: Sequence[FiberMeasure],
     """Pushforward of each fiber by a vectorized float map fn that acts
     atom by atom: one call of fn on the distinct position arrays (by
     identity, then equality), concatenated, and one _order of each image
-    for all the weight arrays on it, whose pushes share its positions."""
+    for all the weight arrays on it, whose pushes share its positions.
+    _order reduces the images mod 1, so fn may return a lift of the
+    circle map."""
     floats = [fm.to_float() for fm in fibers]
     # distinct arrays bucketed by (length, first, last), so that only
     # arrays that may be equal are compared
@@ -618,30 +620,40 @@ def combine_cells(table: Sequence[FiberMeasure], terms: np.ndarray,
                   coefs: Sequence, eps) -> Disintegration:
     """Cell i sums coefs[t % c] * table[t // c] over the entries t >= 0 of
     row i of terms (c = len(coefs), -1 pads), snapped to the eps-grid by
-    coarsen; equal rows share one sum.
+    coarsen; equal rows share one sum."""
+    return _sum_rows(table, *_row_groups(terms, len(coefs)), coefs, eps)
+
+
+def _row_groups(terms: np.ndarray, c: int) -> tuple[list, np.ndarray]:
+    """The distinct rows of terms, each as the (t // c, t % c) pairs of its
+    entries t >= 0, and the read-only array of each row's group.
 
     Rows are grouped by a 1-D np.unique over an np.void view of each
-    int64 row, unless they are all equal; the order of the groups does not
-    matter, since the table is renumbered by first appearance."""
-    c = len(coefs)
+    int64 row, unless they are all equal (one group)."""
     terms = np.ascontiguousarray(terms, dtype=np.int64)
-
-    def row_sum(row):
-        return coarsen(_combine([(table[t // c], coefs[t % c])
-                                 for t in row if t >= 0]), eps)
-
     if len(terms) and (terms == terms[0]).all():
-        # one fiber: ids all 0 are already canonical
-        out = Disintegration.__new__(Disintegration)
-        out.n_cells, out.ids = len(terms), np.zeros(len(terms), dtype=np.int64)
-        out.ids.flags.writeable = False
-        out.table = (row_sum(terms[0].tolist()),)
-        return out
-    keys = terms.view(np.dtype((np.void, terms.itemsize * terms.shape[1])))
-    _, first, inv = np.unique(keys.reshape(-1), return_index=True,
-                              return_inverse=True)
-    return Disintegration(inv, [row_sum(row)
-                                for row in terms[first].tolist()])
+        first, groups = [0], np.zeros(len(terms), dtype=np.int64)
+    else:
+        keys = terms.view(np.dtype((np.void, terms.itemsize * terms.shape[1])))
+        _, first, groups = np.unique(keys.reshape(-1), return_index=True,
+                                     return_inverse=True)
+    groups.flags.writeable = False
+    return [[divmod(t, c) for t in row if t >= 0]
+            for row in terms[first].tolist()], groups
+
+
+def _sum_rows(table: Sequence[FiberMeasure], rows: list, groups: np.ndarray,
+              coefs: Sequence, eps) -> Disintegration:
+    """Cell i sums coefs[j] * table[k] over the (k, j) of rows[groups[i]],
+    snapped by coarsen; the table is renumbered by first appearance, and
+    one row's groups (all 0) are already canonical."""
+    sums = [coarsen(_combine([(table[k], coefs[j]) for k, j in row]), eps)
+            for row in rows]
+    if len(sums) != 1:
+        return Disintegration(groups, sums)
+    out = Disintegration.__new__(Disintegration)
+    out.n_cells, out.ids, out.table = len(groups), groups, (sums[0],)
+    return out
 
 
 # -- constructors -----------------------------------------------------------
@@ -706,16 +718,17 @@ def _pair_w1(table: Sequence[FiberMeasure], pairs: np.ndarray) -> np.ndarray:
     pairs on different positions and exact fibers go through w1_norm.
     """
     out = np.empty(len(pairs))
-    grid = [None if f.exact else f.positions.tobytes() for f in table]
-    rest: list[int] = []
-    same: dict[bytes, list[int]] = {}
-    for i, (u, v) in enumerate(pairs.tolist()):
-        if grid[u] is not None and grid[u] == grid[v]:
-            same.setdefault(grid[u], []).append(i)
-        else:
-            rest.append(i)
-    for idx in same.values():
-        idx = np.array(idx)
+    # one id per distinct float position array, -1 for exact fibers, and
+    # the grid each pair shares (-1 for none)
+    grids: dict[bytes, int] = {}
+    grid = np.array([-1 if f.exact else
+                     grids.setdefault(f.positions.tobytes(), len(grids))
+                     for f in table], dtype=np.int64)
+    gu = grid[pairs[:, 0]]
+    shared = np.where(gu == grid[pairs[:, 1]], gu, -1)
+    rest = np.flatnonzero(shared < 0).tolist()
+    for g in np.unique(shared[shared >= 0]).tolist():
+        idx = np.flatnonzero(shared == g)
         # the grid's weights, stacked once; pair idx[i] is the difference
         # of rows rows[i, 0] and rows[i, 1] of w
         fibers, rows = np.unique(pairs[idx], return_inverse=True)
@@ -756,7 +769,9 @@ def _interval_max(ids: np.ndarray, table, n: int, span: int):
     rfid = ids[starts]
     a, b = np.nonzero(np.triu(starts[None, :] - ends[:, None] <= span, 1))
     lo, hi = np.minimum(rfid[a], rfid[b]), np.maximum(rfid[a], rfid[b])
-    pairs = np.unique(np.stack([lo, hi], axis=1)[lo != hi], axis=0)
+    t = len(table)  # the distinct pairs in (lo, hi) order, as lo t + hi
+    code = np.unique((lo * t + hi)[lo != hi])
+    pairs = np.stack([code // t, code % t], axis=1)
     u, v = pairs.T
     dist = np.zeros((len(table), len(table)))
     dist[u, v] = dist[v, u] = _pair_w1(table, pairs) * n

@@ -6,7 +6,9 @@ sums for oscillation and var_p, and the one-difference-at-a-time W1 loop
 that var_p's batched pair norms replace.  They share no code paths with
 the library shortcuts they check.  The base map's 1D transfer of
 piecewise-constant densities reads the piece table that transfer_step
-uses, and checks the marginal of each transfer step.
+uses, and checks the marginal of each transfer step; the indicator test
+cell by cell and the transfer step with its bookkeeping made afresh on
+every call check the step's plan.
 
 The last group keeps the plain forms of kernels that have fast paths,
 for bit-for-bit comparisons: canonical form by a full stable sort, the
@@ -17,6 +19,7 @@ and the invariant-measure loop with the exact residual at every step.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -181,6 +184,44 @@ def pair_w1_loop(table, pairs) -> np.ndarray:
     difference at a time: the reference for the batched pair norms."""
     return np.array([float(w1_norm(table[u] - table[v])) for u, v in pairs],
                     dtype=float)
+
+
+def indicator_member(fam, cell: int, n_cells: int) -> bool:
+    """Whether cell [c/N, (c+1)/N) lies inside fam's indicator set, by
+    Fraction comparisons against each interval in order; a ValueError when
+    the first interval the cell meets has an endpoint inside it."""
+    lo, hi = Fraction(cell, n_cells), Fraction(cell + 1, n_cells)
+    for a, b in fam.indicator:
+        if a <= lo and hi <= b:
+            return True
+        if lo < b and a < hi:
+            raise ValueError(
+                f"indicator endpoint falls inside cell {cell}/{n_cells}; "
+                f"use a grid aligned with the indicator")
+    return False
+
+
+def transfer_step_by_glue(sys, dis: Disintegration, eps_f=None):
+    """transfer_step with every piece of its bookkeeping made afresh: the
+    grid check, the piece table, the indicator flags cell by cell, the
+    used keys and their ranks, the terms matrix and combine_cells."""
+    n = dis.n_cells
+    sys.base.check_grid(n)
+    if eps_f is None:
+        eps_f = 1.0 / (4 * n)
+    t = dynamics._pieces(sys.base, n)
+    flags = np.array([indicator_member(sys.fiber, c, n) for c in range(n)],
+                     dtype=np.int64)
+    key = dis.ids[t.src] * 2 + flags[t.src]
+    seen = np.zeros(2 * len(dis.table), dtype=bool)
+    seen[key] = True
+    used = np.flatnonzero(seen)
+    key = (seen.cumsum() - 1)[key]
+    pushed = sys.fiber.push_many([(dis.table[k >> 1], k & 1)
+                                  for k in used.tolist()])
+    terms = np.full((n, t.width), -1, dtype=np.int64)
+    terms[t.out, t.slot] = key * len(t.fracs) + t.code
+    return measures.combine_cells(pushed, terms, t.fracs, eps_f)
 
 
 def transfer_density(base, values: np.ndarray) -> np.ndarray:

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (hermite_by_search, invariant_by_plain_loop,
-                     transfer_density)
+from oracles import (hermite_by_search, indicator_member,
+                     invariant_by_plain_loop, transfer_density,
+                     transfer_step_by_glue)
 
 from skewstab import dynamics
 from skewstab.arithmetic import (
@@ -37,9 +38,10 @@ from skewstab.dynamics import (
     transfer_step,
     translation_family,
 )
-from skewstab.dynamics import (_OrbitScreen, _hermite_eval, _pieces,
-                               _screen_bump)
+from skewstab.dynamics import (_membership, _OrbitScreen, _hermite_eval,
+                               _pieces, _screen_bump)
 from skewstab.measures import (
+    Disintegration,
     FiberMeasure,
     l1_norm,
     lebesgue_disintegration,
@@ -140,6 +142,76 @@ def test_indicator_alignment_error():
     sys1 = SkewSystem(linear_base(2), fam)
     with pytest.raises(ValueError, match="indicator"):
         transfer_step(sys1, lebesgue_disintegration(4, 4))
+
+
+F = Fraction
+MEMBERSHIP_CASES = [
+    ((), 8), (((F(1, 2), F(1)),), 16), (((F(1, 4), F(5, 8)),), 8),
+    (((0, F(1, 4)), (F(1, 2), F(3, 4))), 32),
+    # overlapping intervals: the first one a cell meets decides it
+    (((F(1, 4), F(3, 4)), (0, 1)), 4), (((0, 1), (F(1, 3), F(1, 2))), 8),
+    (((F(1, 3), F(1, 2)), (0, 1)), 6), (((0.25, 0.75),), 8),
+    # degenerate, and endpoints inside a cell
+    (((F(1, 2), F(1, 2)),), 8), (((F(3, 10), F(3, 10)),), 8),
+    (((F(1, 3), 1),), 4), (((0, F(1, 2)), (F(5, 8), 1)), 4),
+    (((0, F(1, 2)), (F(5, 8), 1)), 8), (((0.1, 1),), 16),
+]
+
+
+@pytest.mark.parametrize("indicator, n", MEMBERSHIP_CASES)
+def test_membership_matches_cell_by_cell_fractions(indicator, n):
+    fam = FiberMapFamily(theta=F(1, 4), indicator=indicator)
+    try:
+        want = [indicator_member(fam, c, n) for c in range(n)]
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            _membership(fam, n)
+        assert str(got.value) == str(err)
+    else:
+        assert _membership(fam, n).tolist() == [int(m) for m in want]
+
+
+def _same_measure(got, want):
+    assert got.ids.tobytes() == want.ids.tobytes()
+    assert [f.content_key() for f in got.table] == \
+        [f.content_key() for f in want.table]
+
+
+def test_transfer_plan_matches_fresh_bookkeeping(monkeypatch):
+    # one plan is kept for the last (system object, N, eps_f) and one
+    # layout for the last id array: every change of any of them, and of
+    # the table's backend, must give what a step built afresh gives
+    monkeypatch.setattr(dynamics, "_plan", None)
+    orbit = SkewSystem(linear_base(2), composite_family(F(1, 4), 1 / 256, 4))
+    quarter = SkewSystem(linear_base(2), translation_family(
+        GOLDEN, indicator=((0, F(1, 4)),)))
+    sigma = SkewSystem(precomposed_base(2, SineShift(0.05)),
+                       translation_family(GOLDEN))
+    leb = lebesgue_disintegration(16, 8)
+    exact = lebesgue_disintegration(16, 8, exact=True)
+    two = Disintegration([0, 1] * 8, [uniform_fiber(8).to_float(),
+                                      uniform_fiber(3).to_float()])
+    swapped = Disintegration([0] * 8 + [1] * 8, two.table)
+    grown = signed_disintegrations(3, 3, 16, n_distinct=8)
+    steps = [(orbit, leb, 2.0 ** -20), (orbit, leb, 2.0 ** -20),
+             (quarter, leb, 2.0 ** -20), (orbit, leb, 2.0 ** -20),
+             (orbit, exact, 2.0 ** -20), (orbit, leb, 2.0 ** -20),
+             (orbit, leb, 2.0 ** -6), (orbit, leb, None),
+             (orbit, two, None), (orbit, two, None), (orbit, swapped, None),
+             (quarter, swapped, None), (sigma, swapped, 2.0 ** -10),
+             (sigma, two, 2.0 ** -10),
+             (orbit, lebesgue_disintegration(32, 8), None)]
+    steps += [(sys, dis, 2.0 ** -10) for dis in [leb, two] + grown
+              for sys in (orbit, sigma)]
+    for sys, dis, eps in steps:
+        _same_measure(transfer_step(sys, dis, eps_f=eps),
+                      transfer_step_by_glue(sys, dis, eps_f=eps))
+    # iterates keep their id array from step to step
+    mu = want = leb
+    for _ in range(5):
+        mu = transfer_step(orbit, mu, eps_f=2.0 ** -30)
+        want = transfer_step_by_glue(orbit, want, eps_f=2.0 ** -30)
+        _same_measure(mu, want)
 
 
 # --------------------------------------------------------- sigma-precomposed
@@ -565,12 +637,16 @@ def test_hermite_at_every_knot_and_its_neighbours():
 
 # -------------------------------------------------------- pinned runs
 
-def _measure_digest():
+def _orbit_script():
     spec = importlib.util.spec_from_file_location(
         "run_orbit_pipeline", ROOT / "scripts" / "run_orbit_pipeline.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.measure_digest
+    return mod
+
+
+def _measure_digest():
+    return _orbit_script().measure_digest
 
 
 def test_criterion7_loop_bits_are_pinned():
@@ -597,6 +673,26 @@ def test_criterion7_full_run_bits_are_pinned():
     assert res.residual == 9.986194271505155e-08
     assert _measure_digest()(res.measure) == \
         "fd486dfae7ae5f354c140668dcc49e2b01a085e0b7e4d456bbca071df48e7677"
+
+
+def test_orbit_pipeline_default_run_bits_are_pinned(monkeypatch, capsys):
+    # scripts/run_orbit_pipeline.py at its defaults (N = 1024), the one run
+    # whose screen computes more than one exact residual
+    mod = _orbit_script()
+    results, calls = [], []
+    monkeypatch.setattr(mod, "invariant_measure",
+                        lambda *a, **kw: results.append(
+                            invariant_measure(*a, **kw)) or results[-1])
+    monkeypatch.setattr(dynamics, "l1_norm",
+                        lambda dis: calls.append(1) or l1_norm(dis))
+    monkeypatch.setattr("sys.argv", ["run_orbit_pipeline.py"])
+    mod.main()
+    (res,) = results
+    assert res.converged and res.n_steps == 1362
+    assert res.residual == 9.986194271505155e-08
+    assert len(calls) == 8
+    assert capsys.readouterr().out.splitlines()[0] == "measure sha256: " \
+        "3f5fda192563a670b2c5308f728647dcbaf9323e17a2e57a5e9252ad9d47421d"
 
 
 def test_regularity_measure_bits_are_pinned():

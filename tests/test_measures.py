@@ -12,6 +12,7 @@ from oracles import (
     combine_by_sort,
     dense_grid_w1,
     flat_balanced_by_sort,
+    indicator_member,
     pair_w1_loop,
     pairwise_lp_w1,
     signed_mass_by_rows,
@@ -654,7 +655,7 @@ def _transfer_reference(sys: SkewSystem, dis: Disintegration,
         for i in np.flatnonzero(t.out == k).tolist():
             c = int(t.src[i])
             part = sys.fiber.push_many(
-                [(dis.fibers[c], sys.fiber.indicator_member(c, n))])[0]
+                [(dis.fibers[c], indicator_member(sys.fiber, c, n))])[0]
             part = part.scale(t.fracs[t.code[i]])
             fib = part if fib is None else fib + part
         out.append(coarsen(fib, eps_f))
