@@ -5,7 +5,7 @@ and check the implied regularity bound on computed invariant measures.
 import argparse
 
 from skewstab.arithmetic import golden_angle
-from skewstab.batteries import positive_disintegrations
+from skewstab.batteries import disintegration_battery
 from skewstab.dynamics import (
     SineShift,
     SkewSystem,
@@ -28,8 +28,9 @@ def main() -> None:
     system = SkewSystem(linear_base(2), fam)
     for n in (256, 1024):
         worst = min(
-            ly_check(system, dis.scale(1.0 / float(dis.mass())), 1.0).margin
-            for dis in positive_disintegrations(args.seed, args.size, n))
+            ly_check(system, dis.scale(1.0 / float(dis.mass())), 1.0)
+            for dis in disintegration_battery(args.seed, args.size, n,
+                                              positive=True))
         print(f"N = {n:>4}: worst margin {worst:+.4f} over {args.size} "
               f"measures (needs >= {-2.0 / n:.4f})")
 

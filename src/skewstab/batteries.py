@@ -19,8 +19,7 @@ from .measures import (
 
 __all__ = [
     "signed_fiber_measures",
-    "positive_disintegrations",
-    "signed_disintegrations",
+    "disintegration_battery",
     "unit_pbv_battery",
 ]
 
@@ -79,21 +78,14 @@ def _run_disintegration(rng: np.random.Generator, n_cells: int, *,
     return Disintegration(ids, scaled)
 
 
-def positive_disintegrations(seed: int, count: int, n_cells: int,
-                             n_distinct: int = 6,
-                             max_atoms: int = 4) -> list[Disintegration]:
-    rng = np.random.default_rng(seed)
-    return [_run_disintegration(rng, n_cells, n_distinct=n_distinct,
-                                max_atoms=max_atoms, positive=True)
-            for _ in range(count)]
-
-
-def signed_disintegrations(seed: int, count: int, n_cells: int,
-                           n_distinct: int = 6,
+def disintegration_battery(seed: int, count: int, n_cells: int,
+                           positive: bool, n_distinct: int = 6,
                            max_atoms: int = 4) -> list[Disintegration]:
+    """count run-structured disintegrations, with positive weights or
+    signed ones."""
     rng = np.random.default_rng(seed)
     return [_run_disintegration(rng, n_cells, n_distinct=n_distinct,
-                                max_atoms=max_atoms, positive=False)
+                                max_atoms=max_atoms, positive=positive)
             for _ in range(count)]
 
 

@@ -24,15 +24,20 @@ from .arithmetic import (
 )
 from .dynamics import (
     BaseMap,
+    FiberMapFamily,
     SineShift,
     SkewSystem,
     composite_family,
-    deformation_family,
     linear_base,
     precomposed_base,
     translation_family,
 )
-from .measures import Disintegration, FiberMeasure, lebesgue_disintegration
+from .measures import (
+    Disintegration,
+    FiberMeasure,
+    product_disintegration,
+    uniform_fiber,
+)
 from .stability import prop_bahh_system
 
 __all__ = [
@@ -177,38 +182,36 @@ def _load_indicator(doc) -> tuple:
     return tuple(out)
 
 
-def _load_fiber(doc: dict):
+# each fiber kind's required and optional keys besides "kind": a
+# translation rotates, a deformation applies the orbit bump, a composite
+# does both
+_FIBER_KEYS = {
+    "translation": ({"theta"}, {"A", "indicator"}),
+    "deformation": ({"delta", "orbit_k"}, {"A", "scale"}),
+    "composite": ({"theta", "delta", "orbit_k"}, {"A", "indicator", "scale"}),
+}
+
+
+def _load_fiber(doc: dict) -> FiberMapFamily:
     kind = _kind(doc, "fiber")
-    common = {"A"}
-    if kind == "translation":
-        _require(doc, {"kind", "theta"}, common | {"indicator"}, "fiber")
-        kw = {}
-        if "indicator" in doc:
-            kw["indicator"] = _load_indicator(doc["indicator"])
-        if "A" in doc:
-            kw["A"] = float(_parse_scalar(doc["A"]))
-        return translation_family(parse_angle(doc["theta"]), **kw)
-    if kind == "deformation":
-        _require(doc, {"kind", "delta", "orbit_k"}, common | {"scale"},
-                 "fiber")
-        return deformation_family(
-            _parse_scalar(doc["delta"]),
-            _positive_int(doc, "orbit_k", "fiber"),
-            scale=float(_parse_scalar(doc.get("scale", 1))),
-            **({"A": float(_parse_scalar(doc["A"]))} if "A" in doc else {}))
-    if kind == "composite":
-        _require(doc, {"kind", "theta", "delta", "orbit_k"},
-                 common | {"scale", "indicator"}, "fiber")
-        kw = {}
-        if "indicator" in doc:
-            kw["indicator"] = _load_indicator(doc["indicator"])
-        if "A" in doc:
-            kw["A"] = float(_parse_scalar(doc["A"]))
-        return composite_family(
-            parse_angle(doc["theta"]), _parse_scalar(doc["delta"]),
-            _positive_int(doc, "orbit_k", "fiber"),
-            scale=float(_parse_scalar(doc.get("scale", 1))), **kw)
-    raise ValueError(f"unknown fiber kind {kind!r}")
+    if kind not in _FIBER_KEYS:
+        raise ValueError(f"unknown fiber kind {kind!r}")
+    required, optional = _FIBER_KEYS[kind]
+    _require(doc, {"kind"} | required, optional, "fiber")
+    kw = {}
+    if "indicator" in doc:
+        kw["indicator"] = _load_indicator(doc["indicator"])
+    elif "theta" not in doc:
+        kw["indicator"] = ()  # no rotation, so no indicator set
+    if "A" in doc:
+        kw["A"] = float(_parse_scalar(doc["A"]))
+    theta = parse_angle(doc["theta"]) if "theta" in doc else 0
+    if "orbit_k" not in doc:
+        return translation_family(theta, **kw)
+    return composite_family(theta, _parse_scalar(doc["delta"]),
+                            _positive_int(doc, "orbit_k", "fiber"),
+                            scale=float(_parse_scalar(doc.get("scale", 1))),
+                            **kw)
 
 
 _CONSTANT_KEYS = {"alpha", "H_hat", "A", "xi", "ly_base"}
@@ -241,7 +244,15 @@ def system_diagnostics(doc: dict, n_cells: int | None = None) -> list[str]:
         sys = load_system(doc)
     except ValueError as e:
         return [str(e)]
-    out = sys.diagnostics(n_cells)
+    checks = [sys.require_domination]
+    if n_cells is not None:
+        checks.append(lambda: sys.base.check_grid(n_cells))
+    out = []
+    for check in checks:
+        try:
+            check()
+        except ValueError as e:
+            out.append(str(e))
     declared = doc.get("constants", {})
     computed = {"alpha": sys.fiber.alpha, "A": sys.fiber.A,
                 "xi": sys.base.xi, "H_hat": sys.fiber.h_hat(1.0)}
@@ -251,11 +262,10 @@ def system_diagnostics(doc: dict, n_cells: int | None = None) -> list[str]:
             if abs(want - have) > 1e-9 * max(1.0, abs(have)):
                 out.append(f"declared {key} = {want:g} does not match "
                            f"built-in value {have:g}")
-    theta_doc = doc.get("fiber", {}).get("theta")
-    if isinstance(theta_doc, str) and "/" not in theta_doc and \
-            theta_doc not in ("golden",) and \
-            not theta_doc.startswith("liouville_j:"):
-        digits = len(theta_doc.split(".", 1)[1]) if "." in theta_doc else 0
+    theta = doc["fiber"].get("theta")
+    if theta is not None and parse_angle(theta).provenance == "decimal":
+        text = theta.strip()
+        digits = len(text.split(".", 1)[1]) if "." in text else 0
         if digits < 12:
             out.append(f"theta precision ({digits} decimal digits) may be "
                        f"insufficient for fine grids")
@@ -295,9 +305,10 @@ def load_measure(doc: dict) -> Disintegration:
         if not isinstance(exact, bool):
             raise ValueError(f"measure: exact must be true or false, "
                              f"got {exact!r}")
-        return lebesgue_disintegration(
+        dis = product_disintegration(
             _positive_int(doc, "n_cells", "measure"),
-            _positive_int(doc, "fiber_atoms", "measure"), exact=exact)
+            uniform_fiber(_positive_int(doc, "fiber_atoms", "measure")))
+        return dis if exact else dis.to_float()
     _require(doc, {"n_cells", "dimension", "fibers"}, {"ids"}, "measure")
     n = _positive_int(doc, "n_cells", "measure")
     if _positive_int(doc, "dimension", "measure") != 1:

@@ -28,8 +28,9 @@ from .measures import (
     _row_groups,
     _sum_rows,
     l1_norm,
-    lebesgue_disintegration,
     marginal_density,
+    product_disintegration,
+    uniform_fiber,
     var_p,
 )
 
@@ -41,16 +42,13 @@ __all__ = [
     "OrbitBump",
     "FiberMapFamily",
     "translation_family",
-    "deformation_family",
     "composite_family",
     "SkewSystem",
     "PerturbationSpec",
     "transfer_step",
     "InvariantResult",
     "invariant_measure",
-    "LyReport",
     "ly_check",
-    "OperatorDistance",
     "operator_distance",
 ]
 
@@ -383,12 +381,6 @@ def translation_family(theta, indicator=DEFAULT_INDICATOR,
     return FiberMapFamily(theta=_angle_value(theta), indicator=iv, A=A)
 
 
-def deformation_family(delta, orbit_k: int, scale: float = 1.0,
-                       A: float = 0.5) -> FiberMapFamily:
-    bump = OrbitBump(orbit_k, abs(float(delta)) * scale)
-    return FiberMapFamily(theta=0, indicator=(), bump=bump, A=A)
-
-
 def composite_family(theta, delta, orbit_k: int, scale: float = 1.0,
                      indicator=DEFAULT_INDICATOR, A: float = 0.5
                      ) -> FiberMapFamily:
@@ -414,17 +406,6 @@ class SkewSystem:
             raise ValueError(
                 f"Sk2 domination violated: lambda^xi * alpha = "
                 f"{self.domination:.6f} >= 1")
-
-    def diagnostics(self, n_cells: int | None = None) -> list[str]:
-        out = []
-        if self.domination >= 1:
-            out.append("Sk2 domination violated")
-        if n_cells is not None:
-            try:
-                self.base.check_grid(n_cells)
-            except ValueError:
-                out.append("N must be multiple of branch count power")
-        return out
 
 
 @dataclass(frozen=True)
@@ -625,7 +606,8 @@ def invariant_measure(sys: SkewSystem, tol: float = 1e-6, n_max: int = 200,
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     sys.require_domination()
-    mu = lebesgue_disintegration(n_cells, fiber_atoms)
+    mu = product_disintegration(n_cells,
+                                uniform_fiber(fiber_atoms)).to_float()
     bump = _screen_bump(sys)
     screen = None if bump is None else _OrbitScreen(bump, mu)
     residual = math.inf
@@ -646,12 +628,7 @@ def invariant_measure(sys: SkewSystem, tol: float = 1e-6, n_max: int = 200,
 
 # -------------------------------------------------------------- LY checks
 
-@dataclass(frozen=True)
-class LyReport:
-    margin: float
-
-
-def ly_check(sys: SkewSystem, dis: Disintegration, p: float) -> LyReport:
+def ly_check(sys: SkewSystem, dis: Disintegration, p: float) -> float:
     """Margin rhs - lhs of the fiberwise variation inequality
     var_p(L mu) <= lambda^p alpha var_p(mu) + (H_hat + 3 q alpha C_h
     A^(xi-p)) sup|mu_x| for a positive measure, at the fiber family's
@@ -667,20 +644,13 @@ def ly_check(sys: SkewSystem, dis: Disintegration, p: float) -> LyReport:
     h_hat = sys.fiber.h_hat(p)
     extra = 3 * base.branch_count * alpha * base.c_h * A ** (base.xi - p)
     rhs = lam ** p * alpha * var_p(dis, p, A) + (h_hat + extra) * sup
-    return LyReport(rhs - lhs)
+    return rhs - lhs
 
 
 # ------------------------------------------------------ operator distance
 
-@dataclass(frozen=True)
-class OperatorDistance:
-    value: float
-    battery_size: int
-    seed: int
-
-
 def operator_distance(pspec: PerturbationSpec, battery_size: int = 32,
-                      seed: int = 0) -> OperatorDistance:
+                      seed: int = 0) -> float:
     """Empirical sup of ||(L0 - L_delta) f||_"1" over a seeded battery of
     unit p-BV measures on 64 cells; a lower estimate of the
     strong-to-weak operator distance."""
@@ -691,5 +661,5 @@ def operator_distance(pspec: PerturbationSpec, battery_size: int = 32,
         d = l1_norm(transfer_step(pspec.reference, f, eps_f=eps_f)
                     - transfer_step(pspec.perturbed, f, eps_f=eps_f))
         best = max(best, float(d))
-    return OperatorDistance(best, battery_size, seed)
+    return best
 

@@ -8,10 +8,10 @@ Disintegration(ids, table) is its public constructor; algebra, coarsening
 and the norms work on the table and the id array, so their cost scales
 with the number of distinct fibers rather than N.  Every sum of scaled
 fibers goes through _combine, one pass over arrays per distinct row of
-per-cell terms in combine_cells; the pushes of one position array share
+per-cell terms in _sum_rows; the pushes of one position array share
 its image, put in canonical order once, and add elementwise.  The
-built-in measures (uniform and Lebesgue) are built exact; their float
-form is the exact one rounded once.
+uniform fiber is built exact, and discretized Lebesgue is its product
+measure; their float form is the exact one rounded once.
 
 The W1 norm here is the dual Lipschitz norm with the extra sup bound
 (|g| <= 1, Lip(g) <= 1), the flat norm of the circle, in one closed form
@@ -48,9 +48,7 @@ __all__ = [
     "pbv_norm",
     "marginal_density",
     "coarsen",
-    "combine_cells",
     "uniform_fiber",
-    "lebesgue_disintegration",
     "product_disintegration",
 ]
 
@@ -584,7 +582,8 @@ class Disintegration:
         terms = np.empty((self.n_cells, 2), dtype=np.int64)
         terms[:, 0] = 2 * self.ids
         terms[:, 1] = 2 * (other.ids + len(self.table)) + 1
-        return combine_cells(self.table + other.table, terms, (a, b), 0)
+        return _sum_rows(self.table + other.table, *_row_groups(terms, 2),
+                         (a, b), 0)
 
     def __add__(self, other: "Disintegration") -> "Disintegration":
         return self.lincomb(1, other, 1)
@@ -614,14 +613,6 @@ def _canonical(ids: np.ndarray, table: Sequence[FiberMeasure]
             out.append(f)
         remap[u] = j
     return remap[inv.reshape(-1)], tuple(out)
-
-
-def combine_cells(table: Sequence[FiberMeasure], terms: np.ndarray,
-                  coefs: Sequence, eps) -> Disintegration:
-    """Cell i sums coefs[t % c] * table[t // c] over the entries t >= 0 of
-    row i of terms (c = len(coefs), -1 pads), snapped to the eps-grid by
-    coarsen; equal rows share one sum."""
-    return _sum_rows(table, *_row_groups(terms, len(coefs)), coefs, eps)
 
 
 def _row_groups(terms: np.ndarray, c: int) -> tuple[list, np.ndarray]:
@@ -659,33 +650,24 @@ def _sum_rows(table: Sequence[FiberMeasure], rows: list, groups: np.ndarray,
 # -- constructors -----------------------------------------------------------
 
 
-def uniform_fiber(n_atoms: int, weight_total=1) -> FiberMeasure:
-    """Uniform exact measure: n atoms at j/n, total weight as given (the
-    orbit of 0 under the rotation by p/n for any p prime to n)."""
+def uniform_fiber(n_atoms: int) -> FiberMeasure:
+    """Uniform exact probability: n atoms at j/n, each of weight 1/n (the
+    orbit of 0 under the rotation by p/n for any p prime to n).  Other
+    totals are its .scale(s); discretized Lebesgue on N cells is
+    product_disintegration(N, uniform_fiber(n)), and its float form
+    that measure's .to_float()."""
     if n_atoms < 1:
         raise ValueError(f"fiber atom count must be >= 1, got {n_atoms}")
-    # already canonical: positions j over n_atoms, one weight numerator
-    w = Fraction(weight_total) / n_atoms
+    # already canonical: positions j over n_atoms, weights 1 over n_atoms
     return _fiber(np.arange(n_atoms, dtype=object),
-                  np.full(n_atoms, w.numerator, dtype=object),
-                  n_atoms, w.denominator, presorted=True)
-
-
-def lebesgue_disintegration(n_cells: int, fiber_atoms: int,
-                            exact: bool = False) -> Disintegration:
-    """Discretized Lebesgue probability on [0,1] x T^1: every cell carries a
-    uniform fiber grid with total weight 1/N; the float measure is the
-    exact one rounded once."""
-    if n_cells < 1:
-        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    dis = Disintegration(
-        np.zeros(n_cells),
-        [uniform_fiber(fiber_atoms, weight_total=Fraction(1, n_cells))])
-    return dis if exact else dis.to_float()
+                  np.ones(n_atoms, dtype=object), n_atoms, n_atoms,
+                  presorted=True)
 
 
 def product_disintegration(n_cells: int, fiber: FiberMeasure) -> Disintegration:
     """m (x) fiber: each cell carries fiber scaled by 1/N."""
+    if n_cells < 1:
+        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     return Disintegration(np.zeros(n_cells),
                           [fiber.scale(Fraction(1, n_cells))])
 

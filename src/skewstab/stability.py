@@ -27,7 +27,6 @@ from .dynamics import (
 from .measures import (
     Disintegration,
     l1_norm,
-    lebesgue_disintegration,
     product_disintegration,
     uniform_fiber,
 )
@@ -320,7 +319,8 @@ class PropBahhSystem:
     def mu_reference(self) -> Disintegration:
         """Exact Lebesgue, 2 k atoms per fiber: invariant for the
         reference rotation."""
-        return lebesgue_disintegration(self.n_cells, 2 * self.k, exact=True)
+        return product_disintegration(self.n_cells,
+                                      uniform_fiber(2 * self.k))
 
     @cached_property
     def mu_orbit(self) -> Disintegration:
@@ -341,11 +341,16 @@ def prop_bahh_system(theta: AngleSpec, j: int,
     paper-scale size |delta_j| times a configurable gain that sets the
     attraction rate of the orbit; it must be finite and > 0.
     """
-    if not 0 < deformation_scale < math.inf:
+    if not math.isfinite(deformation_scale):
+        raise ValueError(f"deformation_scale must be finite and > 0, got "
+                         f"{deformation_scale}")
+    if deformation_scale <= 0:
         raise ValueError(
             f"deformation_scale must be finite and > 0, got "
             f"{deformation_scale}: at 0 the perturbed system is the bare "
             f"rotation by p_j/k_j, which attracts no orbit")
+    if n_cells < 1:
+        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     pert = approximant_perturbation(theta, j)
     k = pert.k
     if 2 * k > FIBER_ATOM_BUDGET:
@@ -358,8 +363,6 @@ def prop_bahh_system(theta: AngleSpec, j: int,
                              scale=deformation_scale)
     reference = SkewSystem(linear_base(2), fam0)
     perturbed = SkewSystem(linear_base(2), fam_d)
-    if n_cells < 1:
-        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     pspec = PerturbationSpec(reference, perturbed, float(size))
     return PropBahhSystem(pspec, j, k, pert.delta, Fraction(1, 4 * k),
                           deformation_scale, n_cells)

@@ -204,7 +204,7 @@ def indicator_member(fam, cell: int, n_cells: int) -> bool:
 def transfer_step_by_glue(sys, dis: Disintegration, eps_f=None):
     """transfer_step with every piece of its bookkeeping made afresh: the
     grid check, the piece table, the indicator flags cell by cell, the
-    used keys and their ranks, the terms matrix and combine_cells."""
+    used keys and their ranks, the terms matrix and its row sums."""
     n = dis.n_cells
     sys.base.check_grid(n)
     if eps_f is None:
@@ -221,7 +221,18 @@ def transfer_step_by_glue(sys, dis: Disintegration, eps_f=None):
                                   for k in used.tolist()])
     terms = np.full((n, t.width), -1, dtype=np.int64)
     terms[t.out, t.slot] = key * len(t.fracs) + t.code
-    return measures.combine_cells(pushed, terms, t.fracs, eps_f)
+    return measures._sum_rows(pushed,
+                              *measures._row_groups(terms, len(t.fracs)),
+                              t.fracs, eps_f)
+
+
+def lebesgue(n_cells: int, fiber_atoms: int,
+             exact: bool = False) -> Disintegration:
+    """Discretized Lebesgue on n_cells cells: uniform_fiber(fiber_atoms)
+    scaled by 1/N on every cell, exact or as its float form."""
+    dis = measures.product_disintegration(
+        n_cells, measures.uniform_fiber(fiber_atoms))
+    return dis if exact else dis.to_float()
 
 
 def transfer_density(base, values: np.ndarray) -> np.ndarray:
@@ -338,7 +349,7 @@ def invariant_by_plain_loop(sys, tol: float = 1e-6, n_max: int = 200,
     """invariant_measure with the exact residual l1_norm(L mu - mu) at
     every step and no screen; on_step(L mu, residual) sees each step."""
     sys.require_domination()
-    mu = measures.lebesgue_disintegration(n_cells, fiber_atoms)
+    mu = lebesgue(n_cells, fiber_atoms)
     residual = math.inf
     steps = 0
     while steps < n_max:

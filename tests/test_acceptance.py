@@ -19,17 +19,13 @@ from skewstab.arithmetic import (
     linear_type_estimate,
     local_exponent_dyadic,
 )
-from skewstab.batteries import (
-    positive_disintegrations,
-    signed_disintegrations,
-    signed_fiber_measures,
-)
+from skewstab.batteries import disintegration_battery, signed_fiber_measures
 from skewstab.cli import main
 from skewstab.dynamics import (
     FiberMapFamily,
     SineShift,
     SkewSystem,
-    deformation_family,
+    composite_family,
     invariant_measure,
     linear_base,
     ly_check,
@@ -40,7 +36,6 @@ from skewstab.dynamics import (
 from skewstab.measures import (
     FiberMeasure,
     l1_norm,
-    lebesgue_disintegration,
     marginal_density,
     product_disintegration,
     var_p,
@@ -56,7 +51,7 @@ from skewstab.stability import (
     stability_bound,
 )
 
-from oracles import dense_grid_w1, transfer_density
+from oracles import dense_grid_w1, lebesgue, transfer_density
 
 GOLDEN = golden_angle()
 
@@ -94,8 +89,10 @@ def test_criterion_01_w1_oracle(capsys):
 def test_criterion_02_transfer_conservation(capsys):
     worst_mass = worst_marginal = 0.0
     positive_ok = True
-    cases = [(doubling_system(), positive_disintegrations(1, 250, 64)),
-             (sigma_system(), positive_disintegrations(2, 250, 64))]
+    cases = [(doubling_system(),
+              disintegration_battery(1, 250, 64, positive=True)),
+             (sigma_system(),
+              disintegration_battery(2, 250, 64, positive=True))]
     for system, battery in cases:
         for dis in battery:
             out = transfer_step(system, dis)
@@ -117,11 +114,12 @@ def test_criterion_02_transfer_conservation(capsys):
 
 def test_criterion_03_weak_norm_contraction(capsys):
     worst = -math.inf
-    deform = SkewSystem(linear_base(2), deformation_family(0.01, 4))
+    deform = SkewSystem(linear_base(2),
+                        composite_family(0, 0.01, 4, indicator=()))
     cases = [(doubling_system(), 0), (deform, 100)]
     for system, seed in cases:
         alpha = system.fiber.alpha
-        for dis in signed_disintegrations(seed, 100, 64):
+        for dis in disintegration_battery(seed, 100, 64, positive=False):
             before = float(l1_norm(dis))
             after = float(l1_norm(transfer_step(system, dis, eps_f=0)))
             worst = max(worst, after - alpha * before * (1 + 1e-9))
@@ -135,7 +133,7 @@ def test_criterion_03_weak_norm_contraction(capsys):
 def test_criterion_04_lebesgue_invariance(capsys):
     n = 1024
     t0 = time.perf_counter()
-    f0 = lebesgue_disintegration(n, 4 * n)
+    f0 = lebesgue(n, 4 * n)
     dist = float(l1_norm(transfer_step(doubling_system(), f0) - f0))
     dt = time.perf_counter() - t0
     ok = dist <= 2.0 / n and dt < 60
@@ -148,9 +146,9 @@ def test_criterion_05_ly_and_regularity(capsys):
     system = doubling_system()
     worst = math.inf
     for n in (256, 1024):
-        for dis in positive_disintegrations(0, 50, n):
+        for dis in disintegration_battery(0, 50, n, positive=True):
             mu = dis.scale(1.0 / float(dis.mass()))
-            margin = ly_check(system, mu, 1.0).margin
+            margin = ly_check(system, mu, 1.0)
             worst = min(worst, margin * n / 2.0)  # in units of 2/N
     battery_ok = worst >= -1.0
 

@@ -154,7 +154,23 @@ def test_validate(doubling_path, capsys):
     assert main(["validate", "--config", doubling_path, "--N", "1024"]) == 0
     assert capsys.readouterr().out.strip() == "ok"
     assert main(["validate", "--config", doubling_path, "--N", "100"]) == 0
-    assert "multiple of branch count" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "grid/branch mismatch: n_cells = 100 is not a power of the branch "
+        "count 2\n")
+
+
+@pytest.mark.parametrize("scale, message", [
+    ("inf", "got inf"),
+    ("nan", "got nan"),
+    ("0", "got 0.0: at 0 the perturbed system is the bare rotation by "
+          "p_j/k_j, which attracts no orbit"),
+], ids=["inf", "nan", "0"])
+def test_prop_bahh_scale_refusal_names_its_reason(capsys, scale, message):
+    assert main(["example", "prop-bahh", "--j", "1", "--scale", scale]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: deformation_scale must be finite and > 0, {message}\n"
 
 
 def test_missing_config_exits_2(capsys):

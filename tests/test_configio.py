@@ -23,14 +23,18 @@ from skewstab.configio import (
     system_diagnostics,
     write_json,
 )
-from skewstab.dynamics import invariant_measure
-from skewstab.measures import (
-    FiberMeasure,
-    Disintegration,
-    l1_norm,
-    lebesgue_disintegration,
+from skewstab.dynamics import (
+    BaseMap,
+    FiberMapFamily,
+    OrbitBump,
+    SineShift,
+    SkewSystem,
+    invariant_measure,
 )
+from skewstab.measures import FiberMeasure, Disintegration, l1_norm
 from skewstab.stability import prop_bahh_system
+
+from oracles import lebesgue
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -113,21 +117,121 @@ def test_unknown_keys_fatal():
 
 def test_diagnostics():
     assert system_diagnostics(DOUBLING_DOC, 1024) == []
+    # the checks' own messages: 100 is a multiple of 4, not a power of 2
     assert system_diagnostics(DOUBLING_DOC, 100) == \
-        ["N must be multiple of branch count power"]
+        ["grid/branch mismatch: n_cells = 100 is not a power of the branch "
+         "count 2"]
+    doc = {"base": {"kind": "linear_precomposed", "l": 2,
+                    "sigma": {"kind": "sine", "amplitude": 0.6}},
+           "fiber": DOUBLING_DOC["fiber"]}
+    assert system_diagnostics(doc) == \
+        ["Sk2 domination violated: lambda^xi * alpha = 1.250000 >= 1"]
     doc = dict(DOUBLING_DOC, constants={"alpha": 2.0})
     assert any("alpha" in d for d in system_diagnostics(doc, 64))
-    doc = {"base": {"kind": "linear", "l": 2},
-           "fiber": {"kind": "translation", "theta": "0.618"}}
-    assert any("precision" in d for d in system_diagnostics(doc))
+    # decimal angles only, their digits counted on the stripped text
+    for theta, digits in (("0.618", 3), (" 0.618 ", 3), ("1", 0)):
+        doc = {"base": {"kind": "linear", "l": 2},
+               "fiber": {"kind": "translation", "theta": theta}}
+        assert system_diagnostics(doc) == \
+            [f"theta precision ({digits} decimal digits) may be insufficient "
+             f"for fine grids"]
+    for theta in ("golden", " golden", " liouville_j:3", " 1/3 ",
+                  "0.618033988749"):
+        doc = {"base": {"kind": "linear", "l": 2},
+               "fiber": {"kind": "translation", "theta": theta}}
+        assert system_diagnostics(doc) == []
     # schema failures become diagnostics instead of raising
     assert system_diagnostics({"base": {}, "fiber": {}, "junk": 1}) != []
+
+
+HALF_TO_ONE = ((Fraction(1, 2), Fraction(1)),)
+GOLDEN_60 = Fraction(
+    1236067977499789696409173668731276235440618359611525724270897,
+    2 * 10 ** 60)
+
+
+@pytest.mark.parametrize("doc, want", [
+    ({"kind": "translation", "theta": "1/3"},
+     FiberMapFamily(Fraction(1, 3), HALF_TO_ONE)),
+    ({"kind": "translation", "theta": "1/3", "A": "0.25"},
+     FiberMapFamily(Fraction(1, 3), HALF_TO_ONE, A=0.25)),
+    ({"kind": "translation", "theta": "1/3", "indicator": [["0", "1/4"]]},
+     FiberMapFamily(Fraction(1, 3), ((Fraction(0), Fraction(1, 4)),))),
+    ({"kind": "deformation", "delta": "0.001", "orbit_k": 4},
+     FiberMapFamily(0, (), OrbitBump(4, 0.001))),
+    ({"kind": "deformation", "delta": 0.001, "orbit_k": 4, "A": 0.25},
+     FiberMapFamily(0, (), OrbitBump(4, 0.001), A=0.25)),
+    ({"kind": "deformation", "delta": "-0.001", "orbit_k": 4, "scale": 2},
+     FiberMapFamily(0, (), OrbitBump(4, 0.002))),
+    ({"kind": "composite", "theta": "1/16", "delta": "0.001", "orbit_k": 4},
+     FiberMapFamily(Fraction(1, 16), HALF_TO_ONE, OrbitBump(4, 0.001))),
+    ({"kind": "composite", "theta": "1/16", "delta": "0.001", "orbit_k": 4,
+      "A": "0.25"},
+     FiberMapFamily(Fraction(1, 16), HALF_TO_ONE, OrbitBump(4, 0.001),
+                    A=0.25)),
+    ({"kind": "composite", "theta": "1/16", "delta": "0.001", "orbit_k": 4,
+      "indicator": []},
+     FiberMapFamily(Fraction(1, 16), (), OrbitBump(4, 0.001))),
+    ({"kind": "composite", "theta": "golden", "delta": "0.001",
+      "orbit_k": 4, "scale": "2"},
+     FiberMapFamily(GOLDEN_60, HALF_TO_ONE, OrbitBump(4, 0.002))),
+], ids=["translation", "translation-A", "translation-indicator",
+        "deformation", "deformation-A", "deformation-scale", "composite",
+        "composite-A", "composite-indicator", "composite-scale"])
+def test_fiber_loader_builds_each_kind(doc, want):
+    got = load_system({"base": {"kind": "linear", "l": 2},
+                       "fiber": doc}).fiber
+    # repr pins the types too: a deformation's theta is the int 0
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "spiral", "theta": "1/3"}, "unknown fiber kind 'spiral'"),
+    ({"theta": "1/3"}, "unknown fiber kind None"),
+    ([], "fiber: expected a JSON object"),
+    ({"kind": "translation", "theta": "1/3", "scale": 2},
+     "fiber: unknown keys ['scale']"),
+    ({"kind": "deformation", "delta": 0.1, "orbit_k": 4, "theta": "1/3",
+      "indicator": []}, "fiber: unknown keys ['indicator', 'theta']"),
+    ({"kind": "translation"}, "fiber: missing keys ['theta']"),
+    ({"kind": "deformation", "scale": 2},
+     "fiber: missing keys ['delta', 'orbit_k']"),
+    ({"kind": "composite", "theta": "1/3", "delta": 0.1},
+     "fiber: missing keys ['orbit_k']"),
+], ids=["unknown-kind", "no-kind", "not-object", "translation-scale",
+        "deformation-rotation", "translation-no-theta", "deformation-bare",
+        "composite-no-k"])
+def test_fiber_loader_errors(doc, message):
+    with pytest.raises(ValueError) as err:
+        load_system({"base": {"kind": "linear", "l": 2}, "fiber": doc})
+    assert str(err.value) == message
+
+
+CONFIG_SYSTEMS = {
+    "doubling_identity.json": SkewSystem(
+        BaseMap(2), FiberMapFamily(Fraction(0), ())),
+    "doubling_rotation.json": SkewSystem(
+        BaseMap(2), FiberMapFamily(GOLDEN_60, HALF_TO_ONE)),
+    "precomposed_rotation.json": SkewSystem(
+        BaseMap(2, SineShift(0.01)), FiberMapFamily(GOLDEN_60, HALF_TO_ONE)),
+    "prop_bahh_j1_default_grid.json": SkewSystem(
+        BaseMap(2), FiberMapFamily(Fraction(1, 16), HALF_TO_ONE,
+                                   OrbitBump(16, 6.103515625e-05))),
+}
+
+
+def test_config_files_load_to_their_systems():
+    systems = {p.name for p in CONFIGS.glob("*.json") if "base" in read_json(p)}
+    assert systems == set(CONFIG_SYSTEMS)
+    for name, want in CONFIG_SYSTEMS.items():
+        got = load_system(read_json(CONFIGS / name))
+        assert got == want and repr(got) == repr(want)
 
 
 # ---------------------------------------------------------------- measures
 
 def test_measure_round_trip_exact():
-    leb = lebesgue_disintegration(4, 8, exact=True)
+    leb = lebesgue(4, 8, exact=True)
     back = load_measure(save_measure(leb))
     assert back.exact
     assert l1_norm(back - leb) == 0
@@ -312,7 +416,7 @@ def test_measure_file_round_trip_is_bit_exact(tmp_path, config, distinct):
 
 
 def test_save_measure_writes_each_fiber_once():
-    leb = lebesgue_disintegration(2, 4)
+    leb = lebesgue(2, 4)
     dis = Disintegration([0, 1, 0, 2, 1],
                          [leb.table[0], leb.table[0].scale(0.5),
                           FiberMeasure([0.25], [1.0])])

@@ -154,7 +154,7 @@ def test_w1_matches_reference():
 
 def test_canonical_constructors():
     for n, total in ((1, F(1)), (12, F(1, 64)), (2 ** 10, F(3, 7))):
-        fm = uniform_fiber(n, weight_total=total)
+        fm = uniform_fiber(n).scale(total)
         want = ref([(F(j, n), total / n) for j in range(n)])
         assert fm.atoms() == want
         assert fm.content_key() == build(want).content_key()

@@ -13,17 +13,14 @@ from oracles import (
     dense_grid_w1,
     flat_balanced_by_sort,
     indicator_member,
+    lebesgue,
     pair_w1_loop,
     pairwise_lp_w1,
     signed_mass_by_rows,
     var_p_direct,
 )
 from skewstab import measures
-from skewstab.batteries import (
-    positive_disintegrations,
-    signed_disintegrations,
-    signed_fiber_measures,
-)
+from skewstab.batteries import disintegration_battery, signed_fiber_measures
 from skewstab.arithmetic import golden_angle, lacunary_theta
 from skewstab.dynamics import (
     FiberMapFamily,
@@ -41,9 +38,7 @@ from skewstab.measures import (
     Disintegration,
     FiberMeasure,
     coarsen,
-    combine_cells,
     l1_norm,
-    lebesgue_disintegration,
     marginal_density,
     pbv_norm,
     product_disintegration,
@@ -58,8 +53,10 @@ from skewstab.measures import (
     _fsum_rows,
     _lower_median,
     _pair_w1,
+    _row_groups,
     _signed_mass,
     _sum_interval,
+    _sum_rows,
     _w1_flat,
     _w1_tableau,
 )
@@ -409,7 +406,7 @@ def _cell_keys_by_unique_rows(table, terms, coefs, eps) -> list:
     return [sums[i].content_key() for i in inv.reshape(-1).tolist()]
 
 
-def test_combine_cells_groups_rows_like_unique_axis0():
+def test_row_sums_group_rows_like_unique_axis0():
     rng = np.random.default_rng(89)
     table = []
     for n in rng.integers(1, 40, 6).tolist():
@@ -426,7 +423,8 @@ def test_combine_cells_groups_rows_like_unique_axis0():
             for eps in (0, 2.0 ** -7):
                 want = _cell_keys_by_unique_rows(table, terms, coefs, eps)
                 for layout in (terms, np.asfortranarray(terms)):
-                    out = combine_cells(table, layout, coefs, eps)
+                    out = _sum_rows(table, *_row_groups(layout, len(coefs)),
+                                    coefs, eps)
                     assert [f.content_key() for f in out.fibers] == want
                     assert not out.ids.flags.writeable
 
@@ -434,7 +432,7 @@ def test_combine_cells_groups_rows_like_unique_axis0():
 # ---------------------------------------------------------------- l1_norm
 
 def test_l1_lebesgue_probability():
-    assert l1_norm(lebesgue_disintegration(64, 16)) == pytest.approx(1.0, abs=1e-12)
+    assert l1_norm(lebesgue(64, 16)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_l1_zero_measure():
@@ -443,7 +441,7 @@ def test_l1_zero_measure():
 
 
 def test_l1_lebesgue_minus_uniform_orbit():
-    diff = lebesgue_disintegration(32, 64, exact=True).scale(-1) + \
+    diff = lebesgue(32, 64, exact=True).scale(-1) + \
         product_disintegration(32, uniform_fiber(4))
     assert l1_norm(diff) == F(1, 16)
 
@@ -470,17 +468,17 @@ def test_var_p_single_jump_frozen():
 
 
 def test_var_p_homogeneous():
-    for dis in signed_disintegrations(59, 5, 16):
+    for dis in disintegration_battery(59, 5, 16, positive=False):
         v = var_p(dis, 1.0, 0.5)
         assert var_p(dis.scale(-3.0), 1.0, 0.5) == pytest.approx(3 * v, rel=1e-9)
 
 
 def test_var_p_matches_direct_definition():
-    for dis in signed_disintegrations(61, 4, 12):
+    for dis in disintegration_battery(61, 4, 12, positive=False):
         for p, A in ((1.0, 0.5), (0.5, 0.5), (1.0, 0.25)):
             assert var_p(dis, p, A) == pytest.approx(
                 var_p_direct(dis, p, A), abs=1e-9)
-    for dis in positive_disintegrations(67, 2, 16):
+    for dis in disintegration_battery(67, 2, 16, positive=True):
         # A = 1/16 gives jmax = 1: windows do not span all runs
         for p, A in ((1.0, 0.5), (1.0, 1 / 16)):
             assert var_p(dis, p, A) == pytest.approx(
@@ -507,8 +505,8 @@ def _pair_norm_cases() -> list[Disintegration]:
     mixed = shared[:3] + [FiberMeasure(off, base),
                           FiberMeasure(np.sort(rng.random(25)),
                                        rng.uniform(0, 1, 25) / 64)]
-    exact = [uniform_fiber(8, F(1, 16)), uniform_fiber(4),
-             uniform_fiber(4, F(1, 16))]
+    exact = [uniform_fiber(8).scale(F(1, 16)), uniform_fiber(4),
+             uniform_fiber(4).scale(F(1, 16))]
     cases = []
     for table in (shared, mixed, exact, exact[:2] + shared[:2]):
         ids = np.repeat(np.arange(len(table)), 2)
@@ -545,7 +543,7 @@ def test_batched_pair_norms_equal_the_per_pair_loop(monkeypatch, block):
 
 
 def test_var_p_parameter_validation():
-    dis = lebesgue_disintegration(8, 2)
+    dis = lebesgue(8, 2)
     with pytest.raises(ValueError, match="p must lie"):
         var_p(dis, 1.5, 0.5)
     with pytest.raises(ValueError, match="A must lie"):
@@ -555,7 +553,7 @@ def test_var_p_parameter_validation():
 # --------------------------------------------------------------- pbv_norm
 
 def test_pbv_lebesgue():
-    rep = pbv_norm(lebesgue_disintegration(64, 8), 1.0, 0.5)
+    rep = pbv_norm(lebesgue(64, 8), 1.0, 0.5)
     assert rep.l1 == pytest.approx(1.0, abs=1e-12)
     assert rep.var_p == 0.0
     assert rep.pbv == rep.l1 + rep.var_p
@@ -578,7 +576,7 @@ def test_pbv_product_dipole():
 def test_pbv_dominates_l1_and_fiber_sup():
     # per-fiber bound: max_i w1(N * fibers[i]) <= A^(p-1) * pbv
     for p in (1.0, 0.5):
-        for dis in signed_disintegrations(71, 6, 16):
+        for dis in disintegration_battery(71, 6, 16, positive=False):
             rep = pbv_norm(dis, p, 0.5)
             assert rep.l1 <= rep.pbv + 1e-12
             n = dis.n_cells
@@ -598,7 +596,7 @@ def test_pbv_fiber_sup_bound_on_spike():
 # ------------------------------------------------------- marginal_density
 
 def test_marginal_lebesgue():
-    md = marginal_density(lebesgue_disintegration(32, 4))
+    md = marginal_density(lebesgue(32, 4))
     assert md.values == pytest.approx(np.ones(32), abs=1e-12)
     assert md.sup_norm == pytest.approx(1.0, abs=1e-12)
 
@@ -615,7 +613,7 @@ def test_marginal_half_support():
 
 
 def test_marginal_integral_equals_mass():
-    for dis in positive_disintegrations(73, 10, 32):
+    for dis in disintegration_battery(73, 10, 32, positive=True):
         md = marginal_density(dis)
         assert np.mean(md.values) == pytest.approx(dis.mass(), abs=1e-12)
 
@@ -663,8 +661,8 @@ def _transfer_reference(sys: SkewSystem, dis: Disintegration,
 
 
 def test_packed_operations_match_per_cell_loop():
-    batteries = signed_disintegrations(89, 4, 16) + \
-        positive_disintegrations(97, 4, 16)
+    batteries = disintegration_battery(89, 4, 16, positive=False) + \
+        disintegration_battery(97, 4, 16, positive=True)
     systems = [SkewSystem(linear_base(2), translation_family(golden_angle())),
                SkewSystem(precomposed_base(2, SineShift(0.01)),
                           translation_family(golden_angle()))]
@@ -684,7 +682,7 @@ def test_packed_operations_match_per_cell_loop():
     # an exact pair stays exact; an exact-float pair is summed in floats
     a = Disintegration([0, 1, 1, 0], [uniform_fiber(4),
                                       uniform_fiber(3).translate(F(1, 8))])
-    b = Disintegration([1, 0, 1, 1], [uniform_fiber(2, F(1, 2)),
+    b = Disintegration([1, 0, 1, 1], [uniform_fiber(2).scale(F(1, 2)),
                                       uniform_fiber(5)])
     for other, first in ((b, a), (b.to_float(), a.to_float())):
         out = a.lincomb(F(2, 3), other, F(-5, 7))
@@ -705,8 +703,8 @@ def test_combine_adds_left_to_right_like_the_pairwise_chain():
     # one cell can carry coincident atoms
     system = SkewSystem(precomposed_base(2, SineShift(0.01)),
                         FiberMapFamily())
-    for dis in [lebesgue_disintegration(16, 8)] + \
-            positive_disintegrations(11, 2, 16):
+    for dis in [lebesgue(16, 8)] + \
+            disintegration_battery(11, 2, 16, positive=True):
         _assert_packed(transfer_step(system, dis, eps_f=2.0 ** -10),
                        _transfer_reference(system, dis, 2.0 ** -10))
 
@@ -714,8 +712,8 @@ def test_combine_adds_left_to_right_like_the_pairwise_chain():
 @pytest.mark.parametrize("n, m", [(81, 3), (243, 5), (3, 5), (100, 12),
                                   (1024, 256), (64, 3), (27, 512), (1, 1)])
 def test_float_lebesgue_is_exact_rounded_once(n, m):
-    fm = lebesgue_disintegration(n, m).table[0]
-    exact = lebesgue_disintegration(n, m, exact=True).to_float().table[0]
+    fm = lebesgue(n, m).table[0]
+    exact = lebesgue(n, m, exact=True).to_float().table[0]
     assert fm.content_key() == exact.content_key()
     assert fm.weights[0] == 1 / (n * m)
 
@@ -942,7 +940,7 @@ def test_balance_test_on_overflowing_rows_matches_rows(w):
 def test_balance_test_on_exact_fibers_matches_rows():
     fm = uniform_fiber(6) - uniform_fiber(4)
     assert _signed_mass(fm) == signed_mass_by_rows(fm) == 0
-    fm = uniform_fiber(6, 2) - uniform_fiber(4)
+    fm = uniform_fiber(6).scale(2) - uniform_fiber(4)
     assert _signed_mass(fm) == signed_mass_by_rows(fm) == fm.r
 
 

@@ -1,14 +1,19 @@
-"""Smoke runs of the experiment scripts in scripts/.
+"""Smoke runs of the experiment scripts in scripts/ and of the
+benchmark's repetitions in perfbench/.
 
 Each script runs in a fresh interpreter at its smallest size; the test
 checks the exit code and the script's closing summary line, so a script
-that calls a removed or renamed library name fails here.
+that calls a removed or renamed library name fails here.  Each benchmark
+workload runs once, traced, as perfbench/run.py runs it, and every one
+of its checks must hold.
 """
 
+import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -33,3 +38,16 @@ def test_script_runs(args, summary):
                           env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert re.match(summary, proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", ["pipeline", "exact", "cli-roundtrip"])
+def test_benchmark_repetition_passes_its_checks(tmp_path, workload):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "rep.py"), "--workload",
+         workload, "--seed", "1", "--trace", "1", "--out-dir", str(tmp_path),
+         "--spawn-ns", str(time.time_ns())],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=150)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout.splitlines()[-1])["checks"]
+    assert checks and all(checks.values()), checks

@@ -21,7 +21,6 @@ from skewstab.dynamics import (
 from skewstab.measures import (
     FiberMeasure,
     l1_norm,
-    lebesgue_disintegration,
     product_disintegration,
     uniform_fiber,
 )
@@ -258,25 +257,25 @@ def test_prop_bahh_orbit_invariance_and_repeller():
 def test_prop_bahh_example_builds_no_measure(monkeypatch, capsys):
     # example prop-bahh reads neither exact measure, so neither is built
     calls = []
-    for name in ("lebesgue_disintegration", "product_disintegration"):
-        real = getattr(stability, name)
-        monkeypatch.setattr(stability, name, lambda *a, _f=real, _n=name,
-                            **k: calls.append(_n) or _f(*a, **k))
+    real = stability.product_disintegration
+    monkeypatch.setattr(stability, "product_disintegration",
+                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
     assert main(["example", "prop-bahh", "--j", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["k"] == 2 ** 16
     assert calls == []
     ex = prop_bahh_system(lacunary_theta(3), 2, n_cells=8)
     assert calls == []
     ex.mu_orbit, ex.mu_reference, ex.mu_orbit
-    assert calls == ["product_disintegration", "lebesgue_disintegration"]
+    # the orbit fiber, then the 2 k-atom Lebesgue fiber, once each
+    assert [len(f) for f in calls] == [2 ** 16, 2 ** 17]
 
 
 @pytest.mark.parametrize("j, n_cells", [(1, 64), (1, 4), (2, 2)])
 def test_prop_bahh_lazy_measures_equal_eager_construction(j, n_cells):
     ex = prop_bahh_system(lacunary_theta(3), j, n_cells=n_cells)
     assert ex.n_cells == n_cells
-    eager = {"mu_reference": lebesgue_disintegration(n_cells, 2 * ex.k,
-                                                     exact=True),
+    eager = {"mu_reference": product_disintegration(n_cells,
+                                                    uniform_fiber(2 * ex.k)),
              "mu_orbit": product_disintegration(n_cells,
                                                 uniform_fiber(ex.k))}
     for name, want in eager.items():
@@ -290,14 +289,20 @@ def test_prop_bahh_lazy_measures_equal_eager_construction(j, n_cells):
 def test_prop_bahh_refuses_empty_grid():
     with pytest.raises(ValueError, match="n_cells must be >= 1"):
         prop_bahh_system(lacunary_theta(3), 1, n_cells=0)
+    # before the perturbation and the families: j = 3 would be refused for
+    # its atom budget
+    with pytest.raises(ValueError, match="n_cells must be >= 1"):
+        prop_bahh_system(lacunary_theta(4), 3, n_cells=0)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
 def test_prop_bahh_scale_must_be_positive_and_finite(scale):
     # at scale 0 the perturbed system is the bare rotation by p_j/k_j: it
-    # keeps Lebesgue invariant and attracts nothing
-    with pytest.raises(ValueError, match="finite and > 0"):
+    # keeps Lebesgue invariant and attracts nothing; only a finite scale
+    # is refused for that reason
+    with pytest.raises(ValueError, match="finite and > 0") as err:
         prop_bahh_system(lacunary_theta(3), 1, deformation_scale=scale)
+    assert ("bare rotation" in str(err.value)) == math.isfinite(scale)
 
 
 def test_prop_bahh_budget_refusal():

@@ -29,8 +29,8 @@ from skewstab import measures
 from skewstab.dynamics import (SineShift, SkewSystem, linear_base,
     precomposed_base, transfer_step, translation_family)
 from skewstab.measures import (FiberMeasure, l1_norm,
-    lebesgue_disintegration, product_disintegration, uniform_fiber)
-exact = (lebesgue_disintegration(4, 8, exact=True)
+    product_disintegration, uniform_fiber)
+exact = (product_disintegration(4, uniform_fiber(8))
          - product_disintegration(4, uniform_fiber(2)))
 signed = product_disintegration(4, FiberMeasure([0.0, 0.25], [1.0, -0.5]))
 tracer.active = True
@@ -41,7 +41,7 @@ measures._w1_tableau(signed.table[0])
 exact.fiber_ids()
 for base in (linear_base(2), precomposed_base(2, SineShift(0.01))):
     step = transfer_step(SkewSystem(base, translation_family(Fraction(1, 3))),
-                         lebesgue_disintegration(8, 4))
+                         product_disintegration(8, uniform_fiber(4)))
     values.append(float(step.mass()))
 tracer.active = False
 print(json.dumps({"values": values, "layers": tracer.summary()}))
