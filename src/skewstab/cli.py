@@ -29,7 +29,7 @@ from .configio import (
     system_diagnostics,
     write_json,
 )
-from .dynamics import invariant_measure
+from .dynamics import _default_eps, invariant_measure
 from .measures import FiberMeasure, pbv_norm, product_disintegration
 from .stability import (
     PowerLaw,
@@ -257,10 +257,22 @@ def _cmd_norm(args) -> int:
 def _cmd_invariant(args) -> int:
     config = read_json(args.config)
     system = load_system(config)
-    kw = {} if args.eps_f is None else {"eps_f": args.eps_f}
+    bump, n = system.fiber.bump, args.N
+    if n >= 1 and bump is not None and bump.strength > 0:
+        # w <= 1/N keeps a spurious fixed point within criterion 7's 4/N
+        eps = _default_eps(n) if args.eps_f is None else args.eps_f
+        w, passing = bump.snap_band(eps), 1.0
+        if w > 1 / n:
+            while bump.snap_band(passing) > 1 / n:
+                passing /= 2
+            raise ValueError(
+                f"fiber snap band w = {w:.6g} at eps_f = {eps!r} exceeds "
+                f"1/N = {1 / n:.6g}: a lattice point within w of the bump's "
+                f"orbit can be a spurious fixed point; eps_f = {passing!r} "
+                f"passes")
     res = invariant_measure(system, tol=args.tol, n_max=args.nmax,
-                            n_cells=args.N, fiber_atoms=args.fiber_atoms,
-                            **kw)
+                            n_cells=n, fiber_atoms=args.fiber_atoms,
+                            eps_f=args.eps_f)
     out = _resolve_out(args, args.out)
     write_json(out, save_measure(res.measure))
     resolved = {"system": config, "N": args.N,

@@ -291,6 +291,13 @@ class OrbitBump:
     def lipschitz(self) -> float:
         return 1.0 + self.strength * self.max_g_prime()
 
+    def snap_band(self, eps_f: float) -> float:
+        """min(eps_f / (6 k s), 1/(2k)) for s > 0: at distance d below an
+        orbit point the bump lifts by about 6 k s d, so within this band
+        the floor snap to the eps_f-grid can undo the lift."""
+        return min(eps_f / (6 * self.orbit_k * self.strength),
+                   0.5 / self.orbit_k)
+
     def fixes(self, fm: FiberMeasure) -> bool:
         # exact atoms on the half-orbit grid {i/(2k)} are fixed points of
         # the bump; the position denominator q is in lowest terms, so all

@@ -333,8 +333,10 @@ def _combine(parts) -> FiberMeasure:
     the order (one np.add.reduceat adds three coincident atoms as
     a + (b + c)).  A part on the running sum's positions (the same array,
     as the pushes of one array share, or an equal one) adds elementwise;
-    other parts are canonical (reduced mod 1, sorted and distinct), so
-    their concatenation with the sum is only sorted and merged.
+    any other goes through _order with the sum, whose reduction mod 1
+    leaves their canonical positions (in [0, 1), never -0.0) as they are.
+    Each position then occurs at most twice, and np.add.reduceat adds a
+    pair o + a, left to right.
     """
     if all(fm.exact and _is_exact_scalar(s) for fm, s in parts):
         dens = [fm.r * Fraction(s).denominator for fm, s in parts]
@@ -355,16 +357,8 @@ def _combine(parts) -> FiberMeasure:
         elif pos is p or np.array_equal(pos, p):
             pos, w = _kept(pos, w + v)
         else:
-            # each position occurs at most twice; a pair adds o + a, as
-            # np.add.reduceat of the pair would, and its zeroed second
-            # atom goes with the weights below 1e-15
-            pos = np.concatenate((pos, p))
-            order = np.argsort(pos, kind="stable")
-            pos = pos[order]
-            w = np.concatenate((w, v))[order]
-            pair = np.flatnonzero(pos[1:] == pos[:-1])
-            w[pair] += w[pair + 1]
-            w[pair + 1] = 0.0
+            pos, (w,) = _order(np.concatenate((pos, p)),
+                               [np.concatenate((w, v))], None)
             pos, w = _kept(pos, w)
     return _moved(pos, w, len(pos))
 
@@ -598,10 +592,7 @@ class Disintegration:
 def _canonical(ids: np.ndarray, table: Sequence[FiberMeasure]
                ) -> tuple[np.ndarray, tuple[FiberMeasure, ...]]:
     """Drop unreferenced table entries, merge content-equal ones and
-    renumber by first appearance; hashes each referenced entry once, and
-    nothing when the table has a single entry."""
-    if len(table) == 1:
-        return ids, (table[0],)
+    renumber by first appearance; hashes each referenced entry once."""
     used, first, inv = np.unique(ids, return_index=True, return_inverse=True)
     slot: dict = {}
     out: list[FiberMeasure] = []
@@ -620,14 +611,11 @@ def _row_groups(terms: np.ndarray, c: int) -> tuple[list, np.ndarray]:
     entries t >= 0, and the read-only array of each row's group.
 
     Rows are grouped by a 1-D np.unique over an np.void view of each
-    int64 row, unless they are all equal (one group)."""
+    int64 row; all-equal rows make the one group 0."""
     terms = np.ascontiguousarray(terms, dtype=np.int64)
-    if len(terms) and (terms == terms[0]).all():
-        first, groups = [0], np.zeros(len(terms), dtype=np.int64)
-    else:
-        keys = terms.view(np.dtype((np.void, terms.itemsize * terms.shape[1])))
-        _, first, groups = np.unique(keys.reshape(-1), return_index=True,
-                                     return_inverse=True)
+    keys = terms.view(np.dtype((np.void, terms.itemsize * terms.shape[1])))
+    _, first, groups = np.unique(keys.reshape(-1), return_index=True,
+                                 return_inverse=True)
     groups.flags.writeable = False
     return [[divmod(t, c) for t in row if t >= 0]
             for row in terms[first].tolist()], groups

@@ -341,14 +341,12 @@ def prop_bahh_system(theta: AngleSpec, j: int,
     paper-scale size |delta_j| times a configurable gain that sets the
     attraction rate of the orbit; it must be finite and > 0.
     """
-    if not math.isfinite(deformation_scale):
+    if not 0 < deformation_scale < math.inf:
+        reason = (": at 0 the perturbed system is the bare rotation by "
+                  "p_j/k_j, which attracts no orbit"
+                  if deformation_scale == 0 else "")
         raise ValueError(f"deformation_scale must be finite and > 0, got "
-                         f"{deformation_scale}")
-    if deformation_scale <= 0:
-        raise ValueError(
-            f"deformation_scale must be finite and > 0, got "
-            f"{deformation_scale}: at 0 the perturbed system is the bare "
-            f"rotation by p_j/k_j, which attracts no orbit")
+                         f"{deformation_scale}{reason}")
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     pert = approximant_perturbation(theta, j)
@@ -375,56 +373,11 @@ _OBS_TERMS = tuple(
     (i, 2 ** (2 ** (2 * i)), Fraction(1, 2 ** (2 ** (2 * i + 1))))
     for i in (1, 2, 3, 4))
 
-_EXACT_COS = {
-    Fraction(0): Fraction(1),
-    Fraction(1, 2): Fraction(-1),
-    Fraction(1, 4): Fraction(0),
-    Fraction(3, 4): Fraction(0),
-    Fraction(1, 3): Fraction(-1, 2),
-    Fraction(2, 3): Fraction(-1, 2),
-    Fraction(1, 6): Fraction(1, 2),
-    Fraction(5, 6): Fraction(1, 2),
-}
 
-
-def _cos_sum_exact(res: np.ndarray, w: np.ndarray, q: int, r: int):
-    """Sum of (w / r) * cos(2 pi res / q) over phase groups (sorted
-    distinct residues res, weight numerators w), or None when no exact
-    route applies."""
-    L = len(res)
-    if L > 1 and (w == w[0]).all() and \
-            (L * (res - res[0]) == q * np.arange(L, dtype=object)).all():
-        # full coset of L-th roots of unity: cosines cancel exactly
-        return Fraction(0)
-    # every tabulated phase has a denominator dividing 12
-    if (12 * res % q == 0).all():
-        cos = [_EXACT_COS.get(Fraction(x, q)) for x in res.tolist()]
-        if None not in cos:
-            return sum((c * x for c, x in zip(cos, w.tolist())),
-                       Fraction(0)) / r
-    return None
-
-
-def _term_value(fm, freq: int):
-    """integral of cos(2 pi freq y) against one exact fiber measure, with
-    the phases reduced mod 1 in rational arithmetic before the cosine, so
-    cancellations at magnitudes ~2^-32 are exact."""
-    if len(fm) == 0:
-        return Fraction(0)
-    # phases freq * y mod 1 as integer residues over q, grouped
-    q = fm.q
-    res = (freq % q) * fm.positions % q
-    order = np.argsort(res, kind="stable")
-    res = res[order]
-    starts = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
-    res, w = res[starts], np.add.reduceat(fm.weights[order], starts)
-    val = _cos_sum_exact(res, w, q, fm.r)
-    if val is not None:
-        return val
-    # int / int true division rounds correctly, like float(Fraction)
-    return float(math.fsum(
-        (x / fm.r) * math.cos(2 * math.pi * (p / q))
-        for p, x in zip(res.tolist(), w.tolist())))
+def _orbit_average(freq: int, k: int) -> Fraction:
+    """cos(2 pi freq y) averaged on the orbit {j/k}, a mean of k-th roots
+    of unity: exactly 1 when k divides freq, else 0."""
+    return Fraction(1 if freq % k == 0 else 0)
 
 
 # sup-norm of the observable's terms beyond the four modeled ones (the
@@ -453,18 +406,18 @@ def prop30_example(j: int) -> Prop30Report:
     with the lower bounds it certifies; j <= 2 (j = 3 needs period 2^64
     orbits, out of desk scale, refused).
 
-    Its Lebesgue average is 0: every term is cos(2 pi f y) with an
-    integer frequency f >= 1, whose integral over the circle vanishes,
-    so this holds for all four terms."""
+    By _orbit_average, term i reads its squared amplitude when k_j =
+    2^(2^(2j)) divides 2^(2^(2i)) (i >= j), else 0.  Its Lebesgue average
+    is 0: every term is cos(2 pi f y) with an integer frequency f >= 1,
+    whose integral over the circle vanishes."""
     if j not in (1, 2):
         raise ValueError(
             f"j = {j} needs period 2^(2^{2 * j}) orbits; refused as out of "
             f"desk scale (supported: j in {{1, 2}})")
     theta = lacunary_theta(3)
     pert = approximant_perturbation(theta, j)
-    # mu_j has the same fiber over every base point
-    fm = uniform_fiber(pert.k)
-    terms = [amp * _term_value(fm, freq) for _, freq, amp in _OBS_TERMS]
+    terms = [amp * _orbit_average(freq, pert.k)
+             for _, freq, amp in _OBS_TERMS]
     value = sum(terms, Fraction(0))
 
     amp_j = _OBS_TERMS[j - 1][2]

@@ -1,5 +1,6 @@
 """Runner behavior: artifact shapes, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -164,7 +165,8 @@ def test_validate(doubling_path, capsys):
     ("nan", "got nan"),
     ("0", "got 0.0: at 0 the perturbed system is the bare rotation by "
           "p_j/k_j, which attracts no orbit"),
-], ids=["inf", "nan", "0"])
+    ("-1", "got -1.0"),
+], ids=["inf", "nan", "0", "-1"])
 def test_prop_bahh_scale_refusal_names_its_reason(capsys, scale, message):
     assert main(["example", "prop-bahh", "--j", "1", "--scale", scale]) == 2
     captured = capsys.readouterr()
@@ -478,8 +480,10 @@ BUMP_DOC = {
 def test_invariant_unconverged_reports_residual(tmp_path, capsys):
     p = tmp_path / "bump.json"
     p.write_text(json.dumps(BUMP_DOC))
+    # eps_f = 2^-8 keeps the bump's snap band (1/48) within 1/N = 1/32
     assert main(["invariant", "--config", str(p), "--N", "32",
                  "--fiber-atoms", "64", "--tol", "1e-30", "--nmax", "3",
+                 "--eps-f", "0.00390625",
                  "--out-dir", str(tmp_path), "--out", "inv.json"]) == 3
     meta = json.loads((tmp_path / "inv.json.meta.json").read_text())
     assert meta["partial"] is True
@@ -498,6 +502,7 @@ def test_invariant_runs_without_scipy(tmp_path):
         "from skewstab.cli import main\n"
         f"assert main(['invariant', '--config', {str(p)!r}, '--N', '32', "
         f"'--fiber-atoms', '64', '--nmax', '20', '--allow-partial', "
+        f"'--eps-f', '0.00390625', "
         f"'--out-dir', {str(tmp_path)!r}, '--out', 'inv.json']) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -517,9 +522,6 @@ def test_invariant_writes_measure(doubling_path, tmp_path):
     assert sorted(set(doc["ids"])) == list(range(len(doc["fibers"])))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: at the default eps_f the run converges to a spurious "
-    "fixed point 7.9e-3 from mu_orbit and exits 0"))
 def test_prop_bahh_default_grid_refuses_or_finds_the_orbit(tmp_path):
     # the prop-bahh j = 1 system: its physical measure is mu_orbit
     code = main(["invariant", "--config",
@@ -533,6 +535,47 @@ def test_prop_bahh_default_grid_refuses_or_finds_the_orbit(tmp_path):
     mu = load_measure(json.loads((tmp_path / "inv.json").read_text()))
     ex = prop_bahh_system(lacunary_theta(3), 1, n_cells=1024)
     assert float(l1_norm(mu - ex.mu_orbit.to_float())) <= 4 / 1024
+
+
+def test_snap_band_refusal_names_a_passing_eps_f(tmp_path, capsys):
+    # k = 16 and s = 2^-14: at the default eps_f = 2^-12 the band is
+    # w = 1/32 > 1/N; eps_f = 2^-18 gives w = 1/1536 and is not refused
+    args = ["invariant", "--config",
+            str(ROOT / "configs" / "prop_bahh_j1_default_grid.json"),
+            "--N", "1024", "--fiber-atoms", "2048", "--nmax", "1",
+            "--out-dir", str(tmp_path), "--out", "inv.json"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: fiber snap band w = 0.03125 at eps_f = 0.000244140625 "
+        "exceeds 1/N = 0.000976562: a lattice point within w of the bump's "
+        "orbit can be a spurious fixed point; eps_f = 3.814697265625e-06 "
+        "passes\n")
+    assert not any(tmp_path.iterdir())
+    # eps_f = 2^-17: w = 1/768, within 2/N but not within 1/N
+    assert main(args + ["--eps-f", "7.62939453125e-06"]) == 2
+    assert "eps_f = 3.814697265625e-06 passes" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert main(args + ["--eps-f", "3.814697265625e-06",
+                        "--allow-partial"]) == 0
+    assert (tmp_path / "inv.json").exists()
+
+
+@pytest.mark.parametrize("which, j, digest", [
+    ("prop-30", "1",
+     "c74ea2bc8b0e7d936904c223b182f341d52136e9280b5de915f1d8abb444182b"),
+    ("prop-30", "2",
+     "835d386b02af0716b3fc30332acad9811e1486fbd71026457d0c1a6576029a51"),
+    ("prop-bahh", "1",
+     "5f2c8af1074c18964be3e59ef985fb4dfbb0bb1b1fc59ed36af9c5cfb832e048"),
+    ("prop-bahh", "2",
+     "f1bcba6d03f2d19ce8b2e26d98555782ea53dc912f5ecb9127dbea4d4f129821"),
+], ids=["prop30-j1", "prop30-j2", "prop-bahh-j1", "prop-bahh-j2"])
+def test_worked_example_bytes_are_pinned(capsys, which, j, digest):
+    # every value printed comes from Fractions, so the bytes do not depend
+    # on the platform
+    assert main(["example", which, "--j", j]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_example_prop_bahh(capsys):

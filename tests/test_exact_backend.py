@@ -23,7 +23,7 @@ from skewstab.measures import (
     w1_norm,
 )
 from skewstab.measures import _w1_tableau
-from skewstab.stability import _EXACT_COS, _term_value
+from skewstab.stability import _OBS_TERMS, _orbit_average
 
 DENOMINATORS = (2 ** 64, 10 ** 60, 12, 97, 2 ** 10)
 
@@ -179,6 +179,19 @@ def test_orbit_bump_fixes_matches_reference():
                     (p * 2 * k).denominator == 1 for p, _ in fm.atoms())
 
 
+# cos(2 pi p) at the phases p whose cosine is rational
+_EXACT_COS = {
+    F(0): F(1),
+    F(1, 2): F(-1),
+    F(1, 4): F(0),
+    F(3, 4): F(0),
+    F(1, 3): F(-1, 2),
+    F(2, 3): F(-1, 2),
+    F(1, 6): F(1, 2),
+    F(5, 6): F(1, 2),
+}
+
+
 def _term_reference(atoms, freq: int):
     groups: dict = {}
     for p, w in atoms:
@@ -198,16 +211,13 @@ def _term_reference(atoms, freq: int):
                      for p, w in groups.items())
 
 
-def test_term_value_residues_match_reference():
-    freqs = (1, 2, 3, 2 ** 4, 2 ** 16, 2 ** 64, 2 ** 256)
-    for _, den, atoms in cases(8):
-        fm = build(atoms)
+def test_orbit_average_closed_form_matches_reference():
+    # the uniform measure on the k-point orbit {j/k}: its phases reduced
+    # mod 1 in exact arithmetic, against 1 when k divides freq, else 0
+    freqs = [freq for _, freq, _ in _OBS_TERMS] + [1, 2, 3]
+    for k in (1, 2, 3, 12, 16, 2 ** 8):
+        atoms = uniform_fiber(k).atoms()
         for freq in freqs:
-            assert _term_value(fm, freq) == \
-                _term_reference(ref(atoms), freq)
-    for fm in (uniform_fiber(2 ** 8),
-               uniform_fiber(12).translate(F(1, 24)),
-               uniform_fiber(6).scale(F(1, 10 ** 60))):
-        for freq in freqs:
-            assert _term_value(fm, freq) == \
-                _term_reference(fm.atoms(), freq)
+            value = _orbit_average(freq, k)
+            assert isinstance(value, F)
+            assert value == _term_reference(atoms, freq)

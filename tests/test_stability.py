@@ -298,11 +298,11 @@ def test_prop_bahh_refuses_empty_grid():
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
 def test_prop_bahh_scale_must_be_positive_and_finite(scale):
     # at scale 0 the perturbed system is the bare rotation by p_j/k_j: it
-    # keeps Lebesgue invariant and attracts nothing; only a finite scale
-    # is refused for that reason
+    # keeps Lebesgue invariant and attracts nothing; only 0 is refused for
+    # that reason
     with pytest.raises(ValueError, match="finite and > 0") as err:
         prop_bahh_system(lacunary_theta(3), 1, deformation_scale=scale)
-    assert ("bare rotation" in str(err.value)) == math.isfinite(scale)
+    assert ("bare rotation" in str(err.value)) == (scale == 0)
 
 
 def test_prop_bahh_budget_refusal():
